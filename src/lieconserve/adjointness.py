@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expr import (Add, Const, DEFAULT_TABLE, Expr, ExprError, Func,
-                   FunctionDef, FunctionTable, Jet, Mul, Neg, Param, Pow, T,
-                   U, U_T, X, ZERO, ZeroTestConfig, add, diff, free_symbols,
-                   is_zero, mul, neg, normalize, power, substitute, to_text)
-from .expr.tree import split_coeff
+from .expr import (Const, DEFAULT_TABLE, Expr, ExprError, Func, FunctionDef,
+                   FunctionTable, Jet, Param, T, U, U_T, X, ZERO,
+                   ZeroTestConfig, add, diff, free_symbols, is_zero, mul, neg,
+                   from_terms, normalize, power, substitute, to_text)
 from .jet_calculus import EvolutionSpec, SpecError, adjoint_of, bind_adjoint_field
 
 SELF_ADJOINT = "self_adjoint"
@@ -63,38 +62,22 @@ def _contains_u(e: Expr) -> bool:
 def integrate_poly_in_u(e: Expr, table: FunctionTable = DEFAULT_TABLE) -> Expr:
     """Antiderivative in u of an expression polynomial in u whose
     coefficients are u-free; raises UnsupportedIntegrand otherwise."""
-    e = normalize(e)
-    terms = e.terms if isinstance(e, Add) else (e,)
-    out = []
-    for term in terms:
-        sign = 1
-        if isinstance(term, Neg):
-            sign, term = -1, term.operand
-        coeff, mono = split_coeff(term)
-        factors: tuple[Expr, ...]
-        if mono is None:
-            factors = ()
-        elif isinstance(mono, Mul):
-            factors = mono.factors
-        else:
-            factors = (mono,)
+    out = {}
+    for mono, c in normalize(e).terms.items():
         k = 0
-        coeff_factors: list[Expr] = []
-        for f in factors:
-            if f == U:
-                k += 1
-            elif isinstance(f, Pow) and f.base == U:
-                q = f.exponent
-                if q.denominator != 1 or q < 0:
-                    raise UnsupportedIntegrand("power %s of u" % q)
-                k += q.numerator
-            elif _contains_u(f):
-                raise UnsupportedIntegrand("u inside %s" % to_text(f))
+        rest = []
+        for a, n in mono:
+            if a == U:
+                if n < 0:
+                    raise UnsupportedIntegrand("power %d of u" % n)
+                k = n
+            elif _contains_u(a):
+                raise UnsupportedIntegrand("u inside %s" % to_text(a))
             else:
-                coeff_factors.append(f)
-        out.append(mul(Const(sign * coeff / (k + 1)),
-                       *coeff_factors, power(U, k + 1)))
-    return normalize(add(*out))
+                rest.append((a, n))
+        rest.append((U, k + 1))
+        out[tuple(sorted(rest))] = c * Fraction(1, k + 1)
+    return from_terms(out)
 
 
 def _phi_symbol(r: Expr, table: FunctionTable) -> tuple[Expr, FunctionTable]:

@@ -316,13 +316,18 @@ def verify_law(sol: CharacteristicSolution, c0: Expr, c1: Expr,
         return ConservationReport("q-drift", times, qs, q0, deviation,
                                   tol, passed)
 
-    lo, hi = sol.domain
-    worst = 0.0
-    qs = []
     for t in times:
         if t - _FLUX_STEP < 0.0:
             raise CharacteristicsError(
                 "flux balance needs interior times; %g is too close to 0" % t)
+        if t + _FLUX_STEP > horizon:
+            raise CharacteristicsError(
+                "flux balance needs interior times; %g is within %g of the "
+                "pre-shock horizon %g" % (t, _FLUX_STEP, horizon))
+    lo, hi = sol.domain
+    worst = 0.0
+    qs = []
+    for t in times:
         qs.append(q_at(t))
         dq = (q_at(t + _FLUX_STEP) - q_at(t - _FLUX_STEP)) / (2.0 * _FLUX_STEP)
         u_hi, ux_hi = sol.solve_at(hi, t)

@@ -1,9 +1,10 @@
-"""Symbolic expression core: trees, parsing, differentiation, evaluation."""
+"""Symbolic expression core: normalized sums of monomials, parsing,
+differentiation, evaluation."""
 
-from .tree import (Add, Const, Expr, ExprError, Func, Jet, JetDepthError,
-                   Mul, Neg, Param, Pow, ONE, TWO, T, U, U_T, U_TT, U_X,
-                   U_XT, U_XX, V, V_T, V_X, X, ZERO, add, as_expr,
-                   free_symbols, function_names, max_jet_order, mul, neg,
+from .tree import (Atom, Const, Expr, ExprError, Func, Jet, JetDepthError,
+                   Param, Pow, Sum, ONE, TWO, T, U, U_T, U_TT, U_X, U_XT,
+                   U_XX, V, V_T, V_X, X, ZERO, add, as_expr, free_symbols,
+                   from_terms, function_names, max_jet_order, mul, neg,
                    normalize, power, substitute, to_text, walk)
 from .functions import (DEFAULT_TABLE, FunctionDef, FunctionTable,
                         UnknownFunctionError, build_default_table)
@@ -15,11 +16,11 @@ from .evaluate import (EvaluationError, InconclusiveZeroTest, JetPoint, Poly,
                        poly_to_expr, resolve_instantiations)
 
 __all__ = [
-    "Add", "Const", "Expr", "ExprError", "Func", "Jet", "JetDepthError",
-    "Mul", "Neg", "Param", "Pow", "ONE", "TWO", "T", "U", "U_T", "U_TT",
-    "U_X", "U_XT", "U_XX", "V", "V_T", "V_X", "X", "ZERO", "add", "as_expr",
-    "free_symbols", "function_names", "max_jet_order", "mul", "neg",
-    "normalize", "power", "substitute", "to_text", "walk",
+    "Atom", "Const", "Expr", "ExprError", "Func", "Jet", "JetDepthError",
+    "Param", "Pow", "Sum", "ONE", "TWO", "T", "U", "U_T", "U_TT", "U_X",
+    "U_XT", "U_XX", "V", "V_T", "V_X", "X", "ZERO", "add", "as_expr",
+    "free_symbols", "from_terms", "function_names", "max_jet_order", "mul",
+    "neg", "normalize", "power", "substitute", "to_text", "walk",
     "DEFAULT_TABLE", "FunctionDef", "FunctionTable", "UnknownFunctionError",
     "build_default_table", "diff", "ExprSyntaxError", "UnknownSymbolError",
     "parse", "EvaluationError", "InconclusiveZeroTest", "JetPoint", "Poly",

@@ -4,11 +4,10 @@ their argument list, using the derivative rules of the function table."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .functions import DEFAULT_TABLE, FunctionTable
-from .tree import (Add, Const, Expr, ExprError, Func, Jet, Mul, Neg, Param,
-                   Pow, ZERO, ONE, add, mul, neg, power)
+from .tree import (Atom, Expr, ExprError, Func, Jet, ONE, Param, Pow, Sum,
+                   ZERO, _accumulate, _mono_mul, add, as_expr, from_terms, mul,
+                   power)
 
 
 def diff(e: Expr, sym: Expr, table: FunctionTable | None = None) -> Expr:
@@ -16,41 +15,54 @@ def diff(e: Expr, sym: Expr, table: FunctionTable | None = None) -> Expr:
     if not isinstance(sym, (Jet, Param)):
         raise ExprError("can only differentiate with respect to a symbol")
     table = table if table is not None else DEFAULT_TABLE
-    return _diff(e, sym, table)
+    return _diff(as_expr(e), sym, table)
 
 
-def _diff(e: Expr, s: Expr, table: FunctionTable) -> Expr:
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, (Jet, Param)):
-        return ONE if e == s else ZERO
-    if isinstance(e, Neg):
-        return neg(_diff(e.operand, s, table))
-    if isinstance(e, Add):
-        return add(*[_diff(t, s, table) for t in e.terms])
-    if isinstance(e, Mul):
-        pieces = []
-        for i, f in enumerate(e.factors):
-            df = _diff(f, s, table)
-            if df == ZERO:
+def _diff(e: Expr, s: Atom, table: FunctionTable) -> Expr:
+    if isinstance(e, Atom):
+        return _diff_atom(e, s, table)
+    partials: dict = {}     # atom -> terms of its derivative
+    out: dict = {}
+    for mono, c in e.terms.items():
+        for i, (a, k) in enumerate(mono):
+            if a == s:
+                da = None
+            elif isinstance(a, (Jet, Param)):
                 continue
-            rest = e.factors[:i] + e.factors[i + 1:]
-            pieces.append(mul(df, *rest))
+            else:
+                da = partials.get(a)
+                if da is None:
+                    da = partials[a] = _diff_atom(a, s, table).terms
+                if not da:
+                    continue
+            if k == 1:
+                rest = mono[:i] + mono[i + 1:]
+            else:
+                rest = mono[:i] + ((a, k - 1),) + mono[i + 1:]
+            if da is None:
+                _accumulate(out, rest, c * k)
+            else:
+                for m, v in da.items():
+                    _accumulate(out, _mono_mul(rest, m), c * k * v)
+    return from_terms(out)
+
+
+def _diff_atom(a: Atom, s: Atom, table: FunctionTable) -> Expr:
+    if isinstance(a, Func):
+        fdef = table[a.name]
+        if fdef.arity != len(a.args):
+            raise ExprError("arity mismatch for %s" % a.name)
+        pieces = []
+        for i, arg in enumerate(a.args):
+            darg = _diff(arg, s, table)
+            if darg != ZERO:
+                pieces.append(mul(table.derivative_term(fdef, i, a.args), darg))
         return add(*pieces)
-    if isinstance(e, Pow):
-        db = _diff(e.base, s, table)
+    if isinstance(a, Pow):
+        db = _diff(a.base, s, table)
         if db == ZERO:
             return ZERO
-        return mul(Const(e.exponent), power(e.base, e.exponent - 1), db)
-    if isinstance(e, Func):
-        fdef = table[e.name]
-        if fdef.arity != len(e.args):
-            raise ExprError("arity mismatch for %s" % e.name)
-        pieces = []
-        for i, arg in enumerate(e.args):
-            darg = _diff(arg, s, table)
-            if darg == ZERO:
-                continue
-            pieces.append(mul(table.derivative_term(fdef, i, e.args), darg))
-        return add(*pieces)
-    raise ExprError("unknown node %r" % (e,))
+        if a.exponent == -1:        # d(1/b) = -db/b^2
+            return mul(Sum({((a, 2),): -1}), db)
+        return mul(a.exponent, power(a.base, a.exponent - 1), db)
+    return ONE if a == s else ZERO

@@ -18,9 +18,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .functions import DEFAULT_TABLE, FunctionDef, FunctionTable
-from .tree import (Add, Const, Expr, ExprError, Func, Jet, Mul, Neg, Param,
-                   Pow, ZERO, add, free_symbols, mul, normalize, power,
-                   to_text, walk)
+from .tree import (Const, Expr, ExprError, Func, Jet, Param, Pow, ZERO, add,
+                   free_symbols, function_names, mul, normalize, power,
+                   replace_atoms, to_text)
 
 
 class EvaluationError(ExprError):
@@ -110,52 +110,24 @@ class Poly:
 def poly_from_expr(e: Expr, var_names: Sequence[str] = ("u",)) -> Poly:
     """Convert a polynomial expression over the named symbols to a Poly."""
     e = normalize(e)
-    nv = len(var_names)
-
-    def slot_of(sym: Expr) -> int:
-        if isinstance(sym, Param):
-            label = sym.name
-        elif isinstance(sym, Jet) and sym.nx == 0 and sym.nt == 0:
-            label = sym.field
-        else:
-            label = None
-        if label is not None:
-            for i, name in enumerate(var_names):
-                if label == name:
-                    return i
-        raise ExprError("symbol %s is not a polynomial variable here" % sym)
-
-    def go(n: Expr) -> Poly:
-        if isinstance(n, Const):
-            return Poly.constant(n.value, nv)
-        if isinstance(n, (Jet, Param)):
-            i = slot_of(n)
-            key = tuple(1 if j == i else 0 for j in range(nv))
-            return Poly({key: Fraction(1)}, nv)
-        if isinstance(n, Neg):
-            return Poly.constant(-1, nv) * go(n.operand)
-        if isinstance(n, Add):
-            out = Poly.constant(0, nv)
-            for t in n.terms:
-                out = out + go(t)
-            return out
-        if isinstance(n, Mul):
-            out = Poly.constant(1, nv)
-            for f in n.factors:
-                out = out * go(f)
-            return out
-        if isinstance(n, Pow):
-            q = n.exponent
-            if q.denominator != 1 or q < 0:
-                raise ExprError("non-polynomial power %s" % n)
-            out = Poly.constant(1, nv)
-            base = go(n.base)
-            for _ in range(q.numerator):
-                out = out * base
-            return out
-        raise ExprError("non-polynomial node %s" % n)
-
-    return go(e)
+    slots = {name: i for i, name in enumerate(var_names)}
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for mono, c in e.terms.items():
+        key = [0] * len(var_names)
+        for a, k in mono:
+            if isinstance(a, Param):
+                label = a.name
+            elif isinstance(a, Jet) and a.nx == 0 and a.nt == 0:
+                label = a.field
+            else:
+                raise ExprError("non-polynomial factor %s" % a)
+            if label not in slots:
+                raise ExprError("symbol %s is not a polynomial variable here" % a)
+            if k < 0:
+                raise ExprError("non-polynomial power %s^%d" % (a, k))
+            key[slots[label]] += k
+        coeffs[tuple(key)] = coeffs.get(tuple(key), 0) + c
+    return Poly(coeffs, len(var_names))
 
 
 def poly_to_expr(p: Poly, args: Sequence[Expr]) -> Expr:
@@ -219,6 +191,17 @@ def resolve_instantiations(names: Iterable[str], given: Mapping[str, Poly],
     return out
 
 
+def _instantiation(fdef: FunctionDef, functions: Mapping[str, Poly]) -> Poly:
+    """The polynomial of a symbol: its base's, differentiated per its order."""
+    p = functions.get(fdef.base)
+    if p is None:
+        raise EvaluationError("no instantiation for function symbol %r" % fdef.base)
+    for i, k in enumerate(fdef.order):
+        for _ in range(k):
+            p = p.derivative(i)
+    return p
+
+
 class _Evaluator:
     """Evaluates expressions at jet points, tracking the largest subterm."""
 
@@ -227,59 +210,58 @@ class _Evaluator:
         self.functions = functions
         self._poly_cache: dict[str, Poly] = {}
 
-    def _poly_for(self, fdef: FunctionDef) -> Poly:
-        if fdef.name not in self._poly_cache:
-            base = self.functions.get(fdef.base)
-            if base is None:
-                raise EvaluationError("no instantiation for function symbol %r"
-                                      % fdef.base)
-            p = base
-            for i, k in enumerate(fdef.order):
-                for _ in range(k):
-                    p = p.derivative(i)
-            self._poly_cache[fdef.name] = p
-        return self._poly_cache[fdef.name]
+    def _poly_for(self, name: str) -> Poly:
+        if name not in self._poly_cache:
+            self._poly_cache[name] = _instantiation(self.table[name], self.functions)
+        return self._poly_cache[name]
 
     def eval(self, e: Expr, values: Mapping[Expr, float]) -> tuple[float, float]:
-        """Returns (value, max |subexpression value| encountered)."""
+        """Returns (value, max |term or atom value| encountered)."""
         scale = 0.0
+        atom_values: dict = {}
+
+        def atom_value(a) -> float:
+            if isinstance(a, Func):
+                return self._poly_for(a.name)(*[go(arg) for arg in a.args])
+            if isinstance(a, Pow):
+                b = go(a.base)
+                q = a.exponent
+                if q == -1:
+                    if b == 0.0:
+                        raise EvaluationError("division by zero", a)
+                    return 1.0 / b
+                if q.denominator == 1:
+                    return b ** q.numerator
+                if b < 0.0:
+                    raise EvaluationError("negative base with fractional exponent", a)
+                return b ** float(q)
+            if a not in values:
+                raise EvaluationError("unbound symbol", a)
+            return float(values[a])
 
         def go(n: Expr) -> float:
             nonlocal scale
-            if isinstance(n, Const):
-                val = float(n.value)
-            elif isinstance(n, (Jet, Param)):
-                if n not in values:
-                    raise EvaluationError("unbound symbol", n)
-                val = float(values[n])
-            elif isinstance(n, Neg):
-                val = -go(n.operand)
-            elif isinstance(n, Add):
-                val = 0.0
-                for t in n.terms:
-                    val += go(t)
-            elif isinstance(n, Mul):
-                val = 1.0
-                for f in n.factors:
-                    val *= go(f)
-            elif isinstance(n, Pow):
-                b = go(n.base)
-                q = n.exponent
-                if b == 0.0 and q < 0:
-                    raise EvaluationError("division by zero", n)
-                if b < 0.0 and q.denominator != 1:
-                    raise EvaluationError("negative base with fractional exponent", n)
-                val = float(b) ** float(q) if q.denominator != 1 else float(b) ** q.numerator
-            elif isinstance(n, Func):
-                fdef = self.table[n.name]
-                argvals = [go(a) for a in n.args]
-                val = self._poly_for(fdef)(*argvals)
-            else:
-                raise ExprError("unknown node %r" % (n,))
-            a = abs(val)
-            if a > scale:
-                scale = a
-            return val
+            total = 0.0
+            for mono, c in n.terms.items():
+                val = float(c)
+                for a, k in mono:
+                    x = atom_values.get(a)
+                    if x is None:
+                        x = atom_values[a] = atom_value(a)
+                        if abs(x) > scale:
+                            scale = abs(x)
+                    if k == 1:
+                        val *= x
+                    elif x == 0.0 and k < 0:
+                        raise EvaluationError("division by zero", a)
+                    else:
+                        val *= x ** k
+                if abs(val) > scale:
+                    scale = abs(val)
+                total += val
+            if abs(total) > scale:
+                scale = abs(total)
+            return total
 
         return go(e), scale
 
@@ -288,8 +270,7 @@ def evaluate(e: Expr, point: JetPoint, table: FunctionTable | None = None) -> fl
     """Evaluate e at the point; raises EvaluationError on poles or unbound
     symbols."""
     table = table if table is not None else DEFAULT_TABLE
-    names = {table[n].base for n in
-             (f.name for f in walk(e) if isinstance(f, Func))}
+    names = {table[n].base for n in function_names(e)}
     functions = resolve_instantiations(names, point.functions, table) if names else {}
     val, _ = _Evaluator(table, functions).eval(e, point.values)
     return val
@@ -353,7 +334,7 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
         return ZeroVerdict(zero=True, structural=True)
 
     symbols = sorted(free_symbols(e), key=str)
-    base_names = {table[f.name].base for f in walk(e) if isinstance(f, Func)}
+    base_names = {table[n].base for n in function_names(e)}
     frontier = list(base_names)
     while frontier:
         fdef = table[frontier.pop()]
@@ -400,33 +381,19 @@ def instantiate(e: Expr, functions: Mapping[str, Poly],
     """Replace opaque function applications by their polynomial
     instantiations, symbolically; derived symbols are built on the fly."""
     table = table if table is not None else DEFAULT_TABLE
-    names = {table[f.name].base for f in walk(e) if isinstance(f, Func)}
+    names = {table[n].base for n in function_names(e)}
     resolved = resolve_instantiations(names, functions, table) if names else {}
-    cache: dict[str, Poly] = {}
 
-    def poly_for(fdef: FunctionDef) -> Poly:
-        if fdef.name not in cache:
-            p = resolved[fdef.base]
-            for i, k in enumerate(fdef.order):
-                for _ in range(k):
-                    p = p.derivative(i)
-            cache[fdef.name] = p
-        return cache[fdef.name]
+    def replace(a) -> Optional[Expr]:
+        if isinstance(a, Func):
+            return poly_to_expr(_instantiation(table[a.name], resolved),
+                                [go(arg) for arg in a.args])
+        if isinstance(a, Pow):
+            base = go(a.base)
+            return None if base == a.base else power(base, a.exponent)
+        return None
 
-    def go(n: Expr) -> Expr:
-        if isinstance(n, (Const, Jet, Param)):
-            return n
-        if isinstance(n, Func):
-            args = [go(a) for a in n.args]
-            return poly_to_expr(poly_for(table[n.name]), args)
-        if isinstance(n, Pow):
-            return power(go(n.base), n.exponent)
-        if isinstance(n, Neg):
-            return Neg(go(n.operand))
-        if isinstance(n, Mul):
-            return Mul(tuple(go(f) for f in n.factors))
-        if isinstance(n, Add):
-            return Add(tuple(go(t) for t in n.terms))
-        raise ExprError("unknown node %r" % (n,))
+    def go(expr: Expr) -> Expr:
+        return replace_atoms(expr, replace)
 
-    return normalize(go(e))
+    return go(e)

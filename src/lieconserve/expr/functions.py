@@ -3,13 +3,15 @@
 A registered symbol either introduces primed derivative symbols on
 differentiation (``a`` -> ``a'`` -> ``a''``) or carries a rewrite rule that
 expresses its derivative through already-known symbols (the density
-antiderivative ``A`` rewrites as ``A'(u) = u*a(u)``).  Differentiating a
-registered symbol therefore never leaves the registered closure.
+antiderivative ``A`` rewrites as ``A'(u) = u*a(u)``).  Derivative symbols
+are never registered: their definitions follow from their names on lookup,
+so parsing and differentiating leave a table unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .tree import Expr, ExprError, Func, mul
@@ -51,6 +53,9 @@ def _partial_name(base: str, order: Sequence[int], arity: int) -> str:
     return base + "".join("_d%d" % (i + 1) * k for i, k in enumerate(order))
 
 
+_DERIVED_NAME_RE = re.compile(r"^(.+?)('+|(?:_d\d+)+)$")
+
+
 class FunctionTable:
     """Mutable symbol registry; copies are cheap via ``extended``."""
 
@@ -72,24 +77,36 @@ class FunctionTable:
         return out
 
     def __contains__(self, name: str) -> bool:
-        return name in self._defs
+        return name in self._defs or self._derived(name) is not None
 
     def __getitem__(self, name: str) -> FunctionDef:
-        try:
-            return self._defs[name]
-        except KeyError:
-            raise UnknownFunctionError("unregistered function symbol %r" % name) from None
+        fdef = self._defs.get(name) or self._derived(name)
+        if fdef is None:
+            raise UnknownFunctionError("unregistered function symbol %r" % name)
+        return fdef
 
     def names(self) -> list[str]:
         return sorted(self._defs)
 
+    def _derived(self, name: str) -> Optional[FunctionDef]:
+        """The derivative symbol a name spells over a registered base:
+        ``a''`` for a univariate ``a``, ``f_d1_d2`` for a multivariate ``f``."""
+        m = _DERIVED_NAME_RE.match(name)
+        fdef = self._defs.get(m.group(1)) if m else None
+        if fdef is None:
+            return None
+        slots = m.group(2).split("_d")
+        order = ((len(m.group(2)),) if fdef.arity == 1
+                 else tuple(slots.count(str(i + 1)) for i in range(fdef.arity)))
+        if _partial_name(fdef.name, order, fdef.arity) != name:
+            return None
+        return FunctionDef(name, fdef.arity, base=fdef.name, order=order)
+
     def partial(self, fdef: FunctionDef, i: int) -> FunctionDef:
-        """The symbol standing for d(fdef)/d(argument i); registered lazily."""
+        """The symbol standing for d(fdef)/d(argument i)."""
         order = tuple(k + (1 if j == i else 0) for j, k in enumerate(fdef.order))
         name = _partial_name(fdef.base, order, fdef.arity)
-        if name not in self._defs:
-            self._defs[name] = FunctionDef(name, fdef.arity, base=fdef.base, order=order)
-        return self._defs[name]
+        return FunctionDef(name, fdef.arity, base=fdef.base, order=order)
 
     def derivative_term(self, fdef: FunctionDef, i: int, args: tuple[Expr, ...]) -> Expr:
         """d fdef(args) / d args[i], before the chain-rule factor."""

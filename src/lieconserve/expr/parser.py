@@ -7,7 +7,7 @@ to third order, any subscript order), ``+ - * / ^`` with standard precedence,
 ``^`` right-associative, unary minus binding tighter than ``*``, parentheses,
 ``name(arg, ...)`` application of registered function symbols, and integer or
 decimal literals read as exact rationals.  The result is normalized, so
-``parse(to_text(e)) == e`` for normalized ``e``.
+``parse(to_text(e)) == e``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .functions import DEFAULT_TABLE, FunctionTable
-from .tree import (Const, Expr, Jet, JetDepthError, MAX_JET_ORDER, Param,
-                   add, mul, neg, power)
+from .functions import DEFAULT_TABLE, FunctionTable, UnknownFunctionError
+from .tree import (Const, Expr, Func, JET_NAME_RE, Jet, MAX_JET_ORDER, Param,
+                   add, constant_value, mul, neg, power)
 
 
 class ExprSyntaxError(ValueError):
@@ -42,8 +42,6 @@ class _Token(NamedTuple):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*'*)|(?P<op>[-+*/^(),]))"
 )
-
-_JET_RE = re.compile(r"^([uv])(?:_([xt]+))?$")
 
 # binding powers
 _BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
@@ -75,7 +73,7 @@ def _tokenize(text: str) -> list[_Token]:
 def _symbol_for(name: str, pos: int, table: FunctionTable) -> Expr:
     if name in ("t", "x"):
         return Jet(name)
-    m = _JET_RE.match(name)
+    m = JET_NAME_RE.match(name)
     if m:
         subs = m.group(2) or ""
         nx, nt = subs.count("x"), subs.count("t")
@@ -149,7 +147,11 @@ class _Parser:
         raise ExprSyntaxError("unexpected %r" % t.text, t.pos)
 
     def call(self, name_tok: _Token) -> Expr:
-        fdef = self._resolve_function(name_tok)
+        try:
+            fdef = self.table[name_tok.text]
+        except UnknownFunctionError:
+            raise UnknownSymbolError("unknown function symbol %r" % name_tok.text,
+                                     name_tok.pos) from None
         self.expect("(")
         args = [self.expression(0)]
         while self.tok.kind == "op" and self.tok.text == ",":
@@ -160,24 +162,7 @@ class _Parser:
             raise ExprSyntaxError(
                 "%s takes %d argument(s), got %d" % (fdef.name, fdef.arity, len(args)),
                 name_tok.pos)
-        from .tree import Func, normalize
-        return normalize(Func(fdef.name, tuple(args)))
-
-    def _resolve_function(self, name_tok: _Token):
-        """Look up a function name, materializing primed derivative symbols
-        of a registered univariate base on the fly."""
-        name = name_tok.text
-        if name in self.table:
-            return self.table[name]
-        base = name.rstrip("'")
-        primes = len(name) - len(base)
-        if primes and base in self.table and self.table[base].arity == 1:
-            fdef = self.table[base]
-            for _ in range(primes):
-                fdef = self.table.partial(fdef, 0)
-            return fdef
-        raise UnknownSymbolError("unknown function symbol %r" % name,
-                                 name_tok.pos)
+        return Func(fdef.name, args)
 
     def led(self, t: _Token, left: Expr) -> Expr:
         if t.text == "+":
@@ -189,12 +174,12 @@ class _Parser:
         if t.text == "/":
             return mul(left, power(self.expression(_BP["/"]), -1))
         if t.text == "^":
-            exp = self.expression(_BP["^"] - 1)  # right-associative
-            if not isinstance(exp, Const):
+            exp = constant_value(self.expression(_BP["^"] - 1))  # right-associative
+            if exp is None:
                 raise ExprSyntaxError("exponent must reduce to a rational constant",
                                       t.pos)
             try:
-                return power(left, exp.value)
+                return power(left, exp)
             except Exception as err:
                 raise ExprSyntaxError(str(err), t.pos) from None
         raise ExprSyntaxError("unexpected %r" % t.text, t.pos)

@@ -1,27 +1,36 @@
-"""Immutable expression trees over jet coordinates and opaque function symbols.
+"""Normalized expressions over jet coordinates and opaque function symbols.
 
-Every expression produced by the helper constructors (``add``, ``mul``,
-``power``, ``neg``) and by the operator overloads is kept in a normal form:
-sums and products are flattened, products are expanded over sums, like terms
-are collected, rational constants are folded exactly, and operands are put in
-a fixed canonical order.  Normalization is idempotent, so structural equality
-(``==``) is reliable on normalized trees.  Quotients stay factored as
-``Power(..., -1)``; there is no rational-function normal form.
+A normalized expression is a sparse sum ``{monomial: coefficient}`` with
+nonzero exact rational coefficients.  A monomial is a tuple of ``(atom,
+exponent)`` pairs sorted by atom, with nonzero integer exponents.  Atoms are
+``Jet``, ``Param``, ``Func`` and the opaque ``Pow``.  The constructors keep
+this form: sums and products merge dictionaries, integer exponents of one
+atom add up, products distribute over sums, and positive integer powers of
+sums expand up to ``_EXPAND_POW_CAP``.  A non-integer power is one atom,
+never distributed or merged with its base: ``(u*x)^(1/2)`` is not
+``u^(1/2)*x^(1/2)``, and ``(u^(1/2))^2`` is not ``u``, where u < 0.  A lone
+atom is represented by itself, so ``==`` is structural equality.  Quotients
+by sums stay factored; there is no rational-function normal form.
+
+Atoms subclass ``str``: the string is the atom's canonical printed text, so
+hashing, equality and the ordering of monomials run at C speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 Rational = Union[int, Fraction]
 
 MAX_JET_ORDER = 3
 
-# Expanding (x + y)^n is bounded so normalization stays cheap; exponents past
-# the cap keep the power node atomic.
+# Expanding (x + y)^n is bounded so normalization stays cheap; past the cap
+# the power of a sum is one opaque atom.
 _EXPAND_POW_CAP = 8
+
+JET_NAME_RE = re.compile(r"^([uv])(?:_([xt]+))?$")
 
 
 class ExprError(Exception):
@@ -32,9 +41,21 @@ class JetDepthError(ExprError):
     """A jet symbol beyond the supported derivative order was requested."""
 
 
-@dataclass(frozen=True)
+def jet_name(field: str, nx: int, nt: int) -> str:
+    if nx == 0 and nt == 0:
+        return field
+    return field + "_" + "x" * nx + "t" * nt
+
+
+def _rational(value) -> Rational:
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class Expr:
-    """Base class; all nodes are frozen dataclasses and hashable."""
+    """Base class of normalized expressions: ``Sum`` and the atoms."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -69,18 +90,52 @@ class Expr:
     def __str__(self):
         return to_text(self)
 
-
-@dataclass(frozen=True)
-class Const(Expr):
-    value: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, to_text(self))
 
 
-@dataclass(frozen=True)
-class Jet(Expr):
+class Sum(Expr):
+    """Every normalized expression that is not a lone atom."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Sum) and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class Const(Sum):
+    """A rational constant."""
+
+    __slots__ = ()
+
+    def __init__(self, value: Rational):
+        value = _rational(value)
+        super().__init__({(): value} if value else {})
+
+
+class Atom(Expr, str):
+    """An indivisible factor; the string value is its canonical text."""
+
+    prec = 100  # binding strength of the text, see the printing section
+
+    @property
+    def terms(self) -> dict:
+        return {((self, 1),): 1}
+
+    def __str__(self):
+        return str.__str__(self)
+
+    def __reduce__(self):
+        return type(self), self._init
+
+
+class Jet(Atom):
     """A jet-space coordinate: ``t``, ``x``, or a field derivative.
 
     ``field`` is one of ``t``/``x`` (base coordinates, no subscripts) or
@@ -88,82 +143,77 @@ class Jet(Expr):
     subscripts are canonical with every ``x`` before every ``t``.
     """
 
-    field: str
-    nx: int = 0
-    nt: int = 0
-
-    def __post_init__(self):
-        if self.field in ("t", "x"):
-            if self.nx or self.nt:
+    def __new__(cls, field: str, nx: int = 0, nt: int = 0):
+        if field in ("t", "x"):
+            if nx or nt:
                 raise ExprError("coordinates t, x carry no jet subscripts")
-        elif self.field in ("u", "v"):
-            if self.nx < 0 or self.nt < 0:
+        elif field in ("u", "v"):
+            if nx < 0 or nt < 0:
                 raise ExprError("negative derivative count")
-            if self.nx + self.nt > MAX_JET_ORDER:
+            if nx + nt > MAX_JET_ORDER:
                 raise JetDepthError(
                     "jet symbols are supported up to order %d, got %s"
-                    % (MAX_JET_ORDER, jet_name(self.field, self.nx, self.nt))
-                )
+                    % (MAX_JET_ORDER, jet_name(field, nx, nt)))
         else:
-            raise ExprError("unknown field %r" % (self.field,))
+            raise ExprError("unknown field %r" % (field,))
+        self = str.__new__(cls, jet_name(field, nx, nt))
+        self.field, self.nx, self.nt = self._init = field, nx, nt
+        return self
 
     @property
     def order(self) -> int:
         return self.nx + self.nt
 
 
-@dataclass(frozen=True)
-class Param(Expr):
+class Param(Atom):
     """A named scalar parameter, independent of t, x and the fields."""
 
-    name: str
+    def __new__(cls, name: str):
+        if name in ("t", "x") or JET_NAME_RE.match(name):
+            raise ExprError("%r names a jet coordinate, not a parameter" % name)
+        self = str.__new__(cls, name)
+        self.name, self._init = name, (name,)
+        return self
 
 
-@dataclass(frozen=True)
-class Func(Expr):
+class Func(Atom):
     """Application of an opaque function symbol to argument expressions."""
 
-    name: str
-    args: tuple[Expr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.exponent, Fraction):
-            object.__setattr__(self, "exponent", Fraction(self.exponent))
+    def __new__(cls, name: str, args):
+        args = tuple(as_expr(a) for a in args)
+        self = str.__new__(cls, "%s(%s)" % (name, ", ".join(_render(a, 0) for a in args)))
+        self.name, self.args = self._init = name, args
+        return self
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
-    operand: Expr
+class Pow(Atom):
+    """An opaque power ``base^exponent``, built only by ``power``.
+
+    Either the exponent is a positive non-integer, or the base is a sum and
+    the exponent is -1 (its reciprocal) or an integer past the expansion
+    cap.  In a monomial the reciprocal of a sum only ever carries positive
+    exponents.  Like a non-integer power, a power past the cap is not
+    merged with other powers of its base: ``((1 + u)^9)^2`` stays apart
+    from ``(1 + u)^18``.
+    """
+
+    def __new__(cls, base: Expr, exponent: Fraction):
+        if exponent == -1:
+            text, prec = "1/" + _render(base, _PREC_POW + 1), _PREC_MUL
+        elif exponent.denominator == 1:
+            text, prec = _render(base, _PREC_POW + 1) + "^" + str(exponent), _PREC_POW
+        else:
+            text = _render(base, _PREC_POW + 1) + "^(" + _frac_text(exponent) + ")"
+            prec = _PREC_POW
+        self = str.__new__(cls, text)
+        self.base, self.exponent = self._init = base, exponent
+        self.prec = prec
+        return self
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    factors: tuple[Expr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    terms: tuple[Expr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-
-
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
-TWO = Const(Fraction(2))
+ZERO = Const(0)
+ONE = Const(1)
+TWO = Const(2)
 
 T = Jet("t")
 X = Jet("x")
@@ -178,89 +228,115 @@ V_X = Jet("v", 1, 0)
 V_T = Jet("v", 0, 1)
 
 
-def jet_name(field: str, nx: int, nt: int) -> str:
-    if nx == 0 and nt == 0:
-        return field
-    return field + "_" + "x" * nx + "t" * nt
-
-
 def as_expr(value) -> Expr:
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, Fraction)):
-        return Const(Fraction(value))
+        return Const(value)
     raise ExprError("cannot interpret %r as an expression" % (value,))
 
 
-def fraction(num: int, den: int = 1) -> Expr:
-    return Const(Fraction(num, den))
+def constant_value(e: Expr) -> Optional[Rational]:
+    """The value of a constant expression, None for anything else."""
+    if isinstance(e, Atom):
+        return None
+    if not e.terms:
+        return 0
+    return e.terms.get(()) if len(e.terms) == 1 else None
 
 
 # ---------------------------------------------------------------------------
-# canonical ordering
+# dictionary arithmetic
 
 
-def sort_key(e: Expr):
-    """Total order on normalized expressions; only determinism matters."""
-    if isinstance(e, Const):
-        return (0, (e.value.numerator, e.value.denominator))
-    if isinstance(e, Jet):
-        if e.field in ("t", "x"):
-            return (1, e.field)
-        return (4, e.field, e.order, e.nx, e.nt)
-    if isinstance(e, Param):
-        return (2, e.name)
-    if isinstance(e, Func):
-        return (3, e.name, len(e.args)) + tuple(sort_key(a) for a in e.args)
-    if isinstance(e, Pow):
-        return (5, sort_key(e.base), (e.exponent.numerator, e.exponent.denominator))
-    if isinstance(e, Mul):
-        return (6, len(e.factors)) + tuple(sort_key(f) for f in e.factors)
-    if isinstance(e, Add):
-        return (7, len(e.terms)) + tuple(sort_key(t) for t in e.terms)
-    if isinstance(e, Neg):
-        return (8,) + (sort_key(e.operand),)
-    raise ExprError("unknown node %r" % (e,))
+def from_terms(terms: dict) -> Expr:
+    """The expression for a term dictionary: a lone atom stands for itself."""
+    if len(terms) == 1:
+        for mono, c in terms.items():
+            if c == 1 and len(mono) == 1 and mono[0][1] == 1:
+                return mono[0][0]
+    return Sum(terms)
 
 
-# ---------------------------------------------------------------------------
-# term/factor decomposition helpers (on normalized nodes)
+def _accumulate(out: dict, mono: tuple, c: Rational) -> None:
+    prev = out.get(mono)
+    if prev is None:
+        out[mono] = c
+    else:
+        c += prev
+        if c:
+            out[mono] = c
+        else:
+            del out[mono]
 
 
-def split_coeff(e: Expr) -> tuple[Fraction, Expr | None]:
-    """Split a normalized term into (rational coefficient, monomial).
-
-    The monomial is ``None`` for pure constants.
-    """
-    if isinstance(e, Const):
-        return e.value, None
-    if isinstance(e, Neg):
-        c, m = split_coeff(e.operand)
-        return -c, m
-    if isinstance(e, Mul) and e.factors and isinstance(e.factors[0], Const):
-        rest = e.factors[1:]
-        mono = rest[0] if len(rest) == 1 else Mul(rest)
-        return e.factors[0].value, mono
-    return Fraction(1), e
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    merged = dict(m1)
+    for a, k in m2:
+        k += merged.get(a, 0)
+        if k:
+            merged[a] = k
+        else:
+            del merged[a]
+    return tuple(sorted(merged.items()))
 
 
-def base_exponent(f: Expr) -> tuple[Expr, Fraction]:
-    if isinstance(f, Pow):
-        return f.base, f.exponent
-    return f, Fraction(1)
+def _mul_terms(p: dict, q: dict) -> dict:
+    if len(p) > len(q):
+        p, q = q, p
+    if len(p) == 1 and () in p:
+        c = p[()]
+        return q if c == 1 else {m: c * v for m, v in q.items()}
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            _accumulate(out, _mono_mul(m1, m2), c1 * c2)
+    return out
 
 
-def _with_coeff(c: Fraction, mono: Expr | None) -> Expr:
-    if c == 0:
+def _mono_power(mono: tuple, c: Rational, n: int) -> Expr:
+    """(c * mono)^n for an integer n: atom exponents multiply."""
+    kept = []
+    sums = []
+    for a, k in mono:
+        if k * n < 0 and a.__class__ is Pow and a.exponent == -1:
+            sums.append(_int_power(a.base, -k * n))     # 1/(1/s) is s
+        else:
+            kept.append((a, k * n))
+    coeff = Fraction(c) ** n if n < 0 else c ** n
+    terms = {tuple(kept): _rational(coeff)}
+    for s in sums:
+        terms = _mul_terms(terms, s.terms)
+    return from_terms(terms)
+
+
+def _int_power(e: Expr, n: int) -> Expr:
+    """e^n: a monomial distributes, a sum expands up to the cap, a negative
+    power of a sum is a power of its reciprocal atom."""
+    if n == 1:
+        return e
+    if n == 0:
+        return ONE
+    terms = e.terms
+    if not terms:
+        if n < 0:
+            raise ExprError("zero raised to a negative power")
         return ZERO
-    if mono is None:
-        return Const(c)
-    if c == 1:
-        return mono
-    if c < 0:
-        return Neg(_with_coeff(-c, mono))
-    factors = mono.factors if isinstance(mono, Mul) else (mono,)
-    return Mul((Const(c),) + factors)
+    if len(terms) == 1:
+        (mono, c), = terms.items()
+        return _mono_power(mono, c, n)
+    if n < 0:
+        return from_terms({((Pow(e, Fraction(-1)), -n),): 1})
+    if n > _EXPAND_POW_CAP:
+        return Pow(e, Fraction(n))
+    out = terms
+    for _ in range(n - 1):
+        out = _mul_terms(out, terms)
+    return from_terms(out)
 
 
 # ---------------------------------------------------------------------------
@@ -268,216 +344,121 @@ def _with_coeff(c: Fraction, mono: Expr | None) -> Expr:
 
 
 def add(*terms) -> Expr:
-    return _canon_add([as_expr(t) for t in terms])
+    nonzero = [t for t in map(as_expr, terms) if t.terms]
+    if len(nonzero) < 2:
+        return nonzero[0] if nonzero else ZERO
+    out = dict(nonzero[0].terms)
+    for t in nonzero[1:]:
+        for m, c in t.terms.items():
+            _accumulate(out, m, c)
+    return from_terms(out)
 
 
 def mul(*factors) -> Expr:
-    return _canon_mul([as_expr(f) for f in factors])
+    if len(factors) == 1:
+        return as_expr(factors[0])
+    terms = None
+    for f in factors:
+        ft = as_expr(f).terms
+        terms = ft if terms is None else _mul_terms(terms, ft)
+        if not terms:
+            return ZERO
+    return ONE if terms is None else from_terms(terms)
 
 
 def neg(e) -> Expr:
-    return _canon_neg(as_expr(e))
+    return from_terms({m: -c for m, c in as_expr(e).terms.items()})
 
 
 def power(base, exponent) -> Expr:
     if isinstance(exponent, Expr):
-        if not isinstance(exponent, Const):
+        value = constant_value(exponent)
+        if value is None:
             raise ExprError("exponents must be exact rationals")
-        exponent = exponent.value
-    return _canon_pow(as_expr(base), Fraction(exponent))
-
-
-def _canon_add(terms: Iterable[Expr]) -> Expr:
-    coeffs: dict[Expr | None, Fraction] = {}
-    order: list[Expr | None] = []
-
-    def absorb(t: Expr):
-        if isinstance(t, Add):
-            for s in t.terms:
-                absorb(s)
-            return
-        c, mono = split_coeff(t)
-        if mono not in coeffs:
-            coeffs[mono] = Fraction(0)
-            order.append(mono)
-        coeffs[mono] += c
-
-    for t in terms:
-        absorb(t)
-
-    monos = [m for m in coeffs if coeffs[m] != 0]
-    monos.sort(key=lambda m: (0,) if m is None else (1, sort_key(m)))
-    out = [_with_coeff(coeffs[m], m) for m in monos]
-    if not out:
+        exponent = value
+    q = Fraction(exponent)
+    base = as_expr(base)
+    if q.denominator == 1:
+        return _int_power(base, q.numerator)
+    if not base.terms:
+        if q < 0:
+            raise ExprError("zero raised to a negative power")
         return ZERO
-    if len(out) == 1:
-        return out[0]
-    return Add(tuple(out))
-
-
-def _canon_mul(factors: Iterable[Expr]) -> Expr:
-    coeff = Fraction(1)
-    plain: list[Expr] = []
-    sums: list[Add] = []
-
-    def absorb(f: Expr):
-        nonlocal coeff
-        if isinstance(f, Mul):
-            for g in f.factors:
-                absorb(g)
-            return
-        if isinstance(f, Neg):
-            coeff = -coeff
-            absorb(f.operand)
-            return
-        if isinstance(f, Const):
-            coeff *= f.value
-            return
-        if isinstance(f, Add):
-            sums.append(f)
-            return
-        plain.append(f)
-
-    for f in factors:
-        absorb(f)
-
-    if coeff == 0:
-        return ZERO
-
-    if sums:
-        # expand products over sums one sum at a time
-        first, rest = sums[0], sums[1:]
-        pieces = [
-            _canon_mul([Const(coeff), term] + plain + list(rest))
-            for term in first.terms
-        ]
-        return _canon_add(pieces)
-
-    powers: dict[Expr, Fraction] = {}
-    seen: list[Expr] = []
-    for f in plain:
-        b, q = base_exponent(f)
-        if b not in powers:
-            powers[b] = Fraction(0)
-            seen.append(b)
-        powers[b] += q
-
-    out: list[Expr] = []
-    for b in seen:
-        q = powers[b]
-        if q == 0:
-            continue
-        out.append(b if q == 1 else _canon_pow(b, q))
-
-    if any(isinstance(f, (Add, Mul, Neg, Const)) for f in out):
-        # exponent collection re-expanded something; run the product again
-        return _canon_mul([Const(coeff)] + out)
-    out.sort(key=sort_key)
-
-    if not out:
-        return Const(coeff)
-    mono = out[0] if len(out) == 1 else Mul(tuple(out))
-    return _with_coeff(coeff, mono)
-
-
-def _canon_pow(base: Expr, q: Fraction) -> Expr:
-    if q == 1:
-        return base
-    if isinstance(base, Const):
-        if base.value == 0:
-            if q < 0:
-                raise ExprError("zero raised to a negative power")
-            return ZERO if q > 0 else ONE
-        if q == 0:
-            return ONE
-        if q.denominator == 1:
-            return Const(base.value ** q.numerator)
+    if q > 0:
         return Pow(base, q)
-    if q == 0:
-        return ONE
-    if isinstance(base, Neg):
-        if q.denominator == 1:
-            inner = _canon_pow(base.operand, q)
-            return inner if q.numerator % 2 == 0 else _canon_neg(inner)
-        return Pow(base, q)
-    if isinstance(base, Pow):
-        if q.denominator == 1:
-            return _canon_pow(base.base, base.exponent * q)
-        return Pow(base, q)
-    if isinstance(base, Mul):
-        return _canon_mul([_canon_pow(f, q) for f in base.factors])
-    if isinstance(base, Add):
-        if q.denominator == 1 and 2 <= q <= _EXPAND_POW_CAP:
-            return _canon_mul([base] * int(q))
-        return Pow(base, q)
-    return Pow(base, q)
+    return from_terms({((Pow(base, -q), -1),): 1})
 
 
-def _canon_neg(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return Const(-e.value)
-    if isinstance(e, Neg):
-        return e.operand
-    if isinstance(e, Add):
-        return _canon_add([_canon_neg(t) for t in e.terms])
-    c, mono = split_coeff(e)
-    return _with_coeff(-c, mono)
-
-
-def normalize(e: Expr) -> Expr:
-    """Fully normalize an arbitrary tree (children first)."""
-    if isinstance(e, (Const, Jet, Param)):
-        return e
-    if isinstance(e, Func):
-        return Func(e.name, tuple(normalize(a) for a in e.args))
-    if isinstance(e, Pow):
-        return _canon_pow(normalize(e.base), e.exponent)
-    if isinstance(e, Neg):
-        return _canon_neg(normalize(e.operand))
-    if isinstance(e, Mul):
-        return _canon_mul([normalize(f) for f in e.factors])
-    if isinstance(e, Add):
-        return _canon_add([normalize(t) for t in e.terms])
-    raise ExprError("unknown node %r" % (e,))
+def normalize(e) -> Expr:
+    """Every expression is built normalized; this only accepts numbers too."""
+    return as_expr(e)
 
 
 # ---------------------------------------------------------------------------
 # traversal and queries
 
 
+def atoms(e: Expr) -> set:
+    """Every atom in e, including those inside arguments and bases."""
+    if isinstance(e, Atom):
+        out = {e}
+    else:
+        out = {a for mono in e.terms for a, _ in mono}
+    for a in list(out):
+        if isinstance(a, Func):
+            for arg in a.args:
+                out |= atoms(arg)
+        elif isinstance(a, Pow):
+            out |= atoms(a.base)
+    return out
+
+
 def walk(e: Expr) -> Iterator[Expr]:
+    """e, then every atom inside it."""
     yield e
-    if isinstance(e, Func):
-        for a in e.args:
-            yield from walk(a)
-    elif isinstance(e, Pow):
-        yield from walk(e.base)
-    elif isinstance(e, Neg):
-        yield from walk(e.operand)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            yield from walk(f)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            yield from walk(t)
+    yield from sorted(atoms(e) - {e})
 
 
-def free_symbols(e: Expr) -> set[Expr]:
-    """All Jet and Param leaves occurring in e."""
-    return {n for n in walk(e) if isinstance(n, (Jet, Param))}
+def free_symbols(e: Expr) -> set:
+    """All Jet and Param atoms occurring in e."""
+    return {a for a in atoms(e) if isinstance(a, (Jet, Param))}
 
 
 def function_names(e: Expr) -> set[str]:
-    return {n.name for n in walk(e) if isinstance(n, Func)}
+    return {a.name for a in atoms(e) if isinstance(a, Func)}
 
 
 def max_jet_order(e: Expr) -> int:
-    orders = [n.order for n in walk(e) if isinstance(n, Jet) and n.field in ("u", "v")]
+    orders = [s.order for s in free_symbols(e) if isinstance(s, Jet) and s.field in ("u", "v")]
     return max(orders, default=0)
 
 
-def contains(e: Expr, sym: Expr) -> bool:
-    return any(n == sym for n in walk(e))
+def replace_atoms(e: Expr, replace: Callable[[Atom], Optional[Expr]]) -> Expr:
+    """Rebuild e with each atom a replaced by ``replace(a)``; None keeps it.
+
+    ``replace`` is called once per distinct atom."""
+    new: dict = {}
+    out: dict = {}
+    for mono, c in as_expr(e).terms.items():
+        kept = []
+        factors = []
+        for a, k in mono:
+            if a not in new:
+                new[a] = replace(a)
+            r = new[a]
+            if r is None:
+                kept.append((a, k))
+            else:
+                factors.append(_int_power(r, k).terms)
+        if not factors:
+            _accumulate(out, mono, c)
+            continue
+        terms = {tuple(kept): c}
+        for f in factors:
+            terms = _mul_terms(terms, f)
+        for m, v in terms.items():
+            _accumulate(out, m, v)
+    return from_terms(out)
 
 
 def substitute(e: Expr, bindings: Mapping[Expr, Expr]) -> Expr:
@@ -486,28 +467,24 @@ def substitute(e: Expr, bindings: Mapping[Expr, Expr]) -> Expr:
         if not isinstance(target, (Jet, Param)):
             raise ExprError("substitution targets must be symbols, got %r" % (target,))
 
-    def go(n: Expr) -> Expr:
-        if isinstance(n, (Jet, Param)):
-            return bindings.get(n, n)
-        if isinstance(n, Const):
-            return n
-        if isinstance(n, Func):
-            return Func(n.name, tuple(go(a) for a in n.args))
-        if isinstance(n, Pow):
-            return Pow(go(n.base), n.exponent)
-        if isinstance(n, Neg):
-            return Neg(go(n.operand))
-        if isinstance(n, Mul):
-            return Mul(tuple(go(f) for f in n.factors))
-        if isinstance(n, Add):
-            return Add(tuple(go(t) for t in n.terms))
-        raise ExprError("unknown node %r" % (n,))
+    def replace(a: Atom) -> Optional[Expr]:
+        if isinstance(a, Func):
+            args = tuple(go(arg) for arg in a.args)
+            return None if args == a.args else Func(a.name, args)
+        if isinstance(a, Pow):
+            base = go(a.base)
+            return None if base == a.base else power(base, a.exponent)
+        value = bindings.get(a)
+        return None if value is None else as_expr(value)
 
-    return normalize(go(e))
+    def go(expr: Expr) -> Expr:
+        return replace_atoms(expr, replace)
+
+    return go(as_expr(e))
 
 
 # ---------------------------------------------------------------------------
-# printing
+# printing: terms and factors are ordered once, here
 
 _PREC_ADD = 10
 _PREC_MUL = 20
@@ -516,44 +493,97 @@ _PREC_POW = 30
 _PREC_ATOM = 100
 
 
-def _frac_text(c: Fraction) -> str:
+def _frac_text(c: Rational) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return "%d/%d" % (c.numerator, c.denominator)
 
 
+def _frac_key(c: Rational) -> tuple:
+    return (c.numerator, c.denominator)
+
+
+def _expr_key(e: Expr) -> tuple:
+    """Print order of expressions: constants, t and x, parameters, function
+    applications, the fields by order, powers, products, sums."""
+    if isinstance(e, Jet):
+        if e.field in ("t", "x"):
+            return (1, e.field)
+        return (4, e.field, e.order, e.nx, e.nt)
+    if isinstance(e, Param):
+        return (2, e.name)
+    if isinstance(e, Func):
+        return (3, e.name, len(e.args)) + tuple(_expr_key(a) for a in e.args)
+    if isinstance(e, Pow):
+        return _factor_key(e, 1)
+    terms = sorted(e.terms.items(), key=_term_order)
+    if len(terms) == 1:
+        return _term_key(*terms[0])
+    if not terms:
+        return (0, (0, 1))
+    return (7, len(terms)) + tuple(_term_key(m, c) for m, c in terms)
+
+
+def _factor_key(a: Atom, k: int) -> tuple:
+    base, q = (a.base, a.exponent * k) if isinstance(a, Pow) else (a, k)
+    if q == 1:
+        return _expr_key(base)
+    return (5, _expr_key(base), _frac_key(q))
+
+
+def _mono_key(mono: tuple) -> tuple:
+    keys = sorted(_factor_key(a, k) for a, k in mono)
+    return keys[0] if len(keys) == 1 else (6, len(keys)) + tuple(keys)
+
+
+def _term_key(mono: tuple, c: Rational) -> tuple:
+    if not mono:
+        return (0, _frac_key(c))
+    if c < 0:
+        return (8, _term_key(mono, -c))
+    if c == 1:
+        return _mono_key(mono)
+    keys = sorted(_factor_key(a, k) for a, k in mono)
+    return (6, len(keys) + 1, (0, _frac_key(c))) + tuple(keys)
+
+
+def _term_order(item) -> tuple:
+    mono, _ = item
+    return (0,) if not mono else (1, _mono_key(mono), mono)
+
+
 def _render(e: Expr, prec: int) -> str:
-    text, p = _render_prec(e)
-    if p < prec:
-        return "(" + text + ")"
-    return text
+    if isinstance(e, Atom):
+        text, p = str.__str__(e), e.prec
+    else:
+        text, p = _render_sum(e)
+    return "(" + text + ")" if p < prec else text
 
 
-def _render_term(e: Expr) -> tuple[bool, str]:
+def _render_term(mono: tuple, c: Rational) -> tuple[bool, str]:
     """Render a term as (is_negative, unsigned text)."""
-    c, mono = split_coeff(e)
     negative = c < 0
     c = abs(c)
-    if mono is None:
+    if not mono:
         return negative, _frac_text(c)
-    factors = list(mono.factors) if isinstance(mono, Mul) else [mono]
     nums: list[str] = []
     dens: list[str] = []
     if c.numerator != 1:
         nums.append(str(c.numerator))
     if c.denominator != 1:
         dens.append(str(c.denominator))
-    for f in factors:
-        b, q = base_exponent(f)
-        if q < 0:
-            target = dens
-            q = -q
-        else:
-            target = nums
-        if q == 1:
-            target.append(_render(b, _PREC_MUL + 1))
-        else:
-            target.append(_render(_canon_pow_node(b, q), _PREC_MUL + 1))
+    for a, k in sorted(mono, key=lambda f: _factor_key(*f)):
+        if isinstance(a, Pow) and a.exponent == -1:
+            # "1/(1 + u)^2" would read back as 1/(1 + 2*u + u^2)
+            if k == 1:
+                dens.append(_render(a.base, _PREC_MUL + 1))
+            else:
+                nums.append(_render(a.base, _PREC_POW + 1) + "^(-%d)" % k)
+            continue
+        target = nums if k > 0 else dens
+        k = abs(k)
+        target.append(_render(a, _PREC_MUL + 1) if k == 1
+                      else _render(a, _PREC_POW + 1) + "^" + str(k))
     if not nums:
         nums.append("1")
     text = "*".join(nums)
@@ -565,48 +595,29 @@ def _render_term(e: Expr) -> tuple[bool, str]:
     return negative, text
 
 
-def _canon_pow_node(b: Expr, q: Fraction) -> Expr:
-    # plain node for printing only; q is positive and not 1
-    return Pow(b, q)
-
-
-def _render_prec(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Const):
-        if e.value < 0:
-            return "-" + _frac_text(-e.value), _PREC_NEG
-        if e.value.denominator != 1:
-            return _frac_text(e.value), _PREC_MUL
-        return _frac_text(e.value), _PREC_ATOM
-    if isinstance(e, Jet):
-        return jet_name(e.field, e.nx, e.nt), _PREC_ATOM
-    if isinstance(e, Param):
-        return e.name, _PREC_ATOM
-    if isinstance(e, Func):
-        return e.name + "(" + ", ".join(_render(a, 0) for a in e.args) + ")", _PREC_ATOM
-    if isinstance(e, Pow):
-        q = e.exponent
-        base = _render(e.base, _PREC_POW + 1)
-        if q.denominator == 1 and q >= 0:
-            return base + "^" + str(q.numerator), _PREC_POW
-        if q < 0 and q.denominator == 1:
-            # lone reciprocal power reads better as a quotient
-            return "1/" + base + ("" if q == -1 else "^" + str(-q.numerator)), _PREC_MUL
-        return base + "^(" + _frac_text(q) + ")", _PREC_POW
-    if isinstance(e, (Neg, Mul)):
-        negative, text = _render_term(e)
+def _render_sum(e: Sum) -> tuple[str, int]:
+    terms = sorted(e.terms.items(), key=_term_order)
+    if not terms:
+        return "0", _PREC_ATOM
+    if len(terms) == 1:
+        mono, c = terms[0]
+        negative, text = _render_term(mono, c)
         if negative:
             return "-" + text, _PREC_NEG
+        if not mono and c.denominator == 1:
+            return text, _PREC_ATOM
         return text, _PREC_MUL
-    if isinstance(e, Add):
-        negative, text = _render_term(e.terms[0])
-        parts = [("-" if negative else "") + text]
-        for t in e.terms[1:]:
-            negative, text = _render_term(t)
-            parts.append((" - " if negative else " + ") + text)
-        return "".join(parts), _PREC_ADD
-    raise ExprError("unknown node %r" % (e,))
+    parts = []
+    for mono, c in terms:
+        negative, text = _render_term(mono, c)
+        if parts:
+            parts.append(" - " if negative else " + ")
+        elif negative:
+            parts.append("-")
+        parts.append(text)
+    return "".join(parts), _PREC_ADD
 
 
 def to_text(e: Expr) -> str:
     """Render e in the input grammar; parsing the result recovers e."""
-    return _render(e, 0)
+    return _render(as_expr(e), 0)

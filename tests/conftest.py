@@ -33,6 +33,7 @@ CORPUS = [
     "a(u)*a'(u)*u", "q(x)*u_x + u",
     "phi(u)*(u_x - u_t/2)", "tau(u)*x + xi(u)*t",
     "u_xx + u_tt",
+    "(u*x)^(1/2)", "(u^(1/2))^2", "u*(1 + u)^(-2)", "(1 + u)^9/(1 + u)",
 ]
 
 # Base instantiations used when a sampled point must evaluate function

@@ -137,6 +137,18 @@ def test_verify_law_rejects_times_beyond_the_horizon():
         verify_law(sol, parse("u^2/2"), parse("u^3/3"), (0.25, 0.96))
 
 
+def test_flux_balance_rejects_times_whose_difference_step_passes_the_horizon():
+    u0 = spline_bump_profile(0.5, 0.0, 0.375)
+    sol = CharacteristicSolution(IDENT, u0, (-1.2, 1.2), boundary="compact")
+    t = sol.horizon() - 5e-5
+    with pytest.raises(CharacteristicsError) as exc:
+        verify_law(sol, parse("x*u - t*u^2/2"), parse("x*u^2/2 - t*u^3/3"),
+                   (0.2, t), nodes=256, tol=1e-5)
+    message = str(exc.value)
+    assert "%g" % t in message and "horizon" in message
+    assert "%g" % (t + 1e-4) not in message     # no time the caller never passed
+
+
 def test_smooth_transport_conserves_every_u_integral():
     # before characteristics cross, any integral of G(u) over a full period
     # is constant in time, including for densities that are not catalog laws;

@@ -11,10 +11,10 @@ from conftest import CORPUS, STANDARD_POLYS, bound_point, parsed_corpus
 from lieconserve.expr import (Const, DEFAULT_TABLE, EvaluationError,
                               ExprSyntaxError, InconclusiveZeroTest, Jet,
                               JetPoint, ONE, Poly, U, U_X, UnknownSymbolError,
-                              ZERO, ZeroTestConfig, diff, evaluate,
-                              free_symbols, instantiate, is_zero, normalize,
-                              parse, poly_from_expr, poly_to_expr,
-                              resolve_instantiations, to_text)
+                              X, ZERO, ZeroTestConfig, build_default_table,
+                              diff, evaluate, free_symbols, instantiate,
+                              is_zero, normalize, parse, poly_from_expr,
+                              poly_to_expr, resolve_instantiations, to_text)
 
 
 def test_corpus_is_large_enough():
@@ -40,6 +40,55 @@ def test_arithmetic_normalizes_to_canonical_forms():
     assert to_text(parse("-u^2")) == "-u^2"       # unary minus binds looser than ^
     assert to_text(parse("u^2^3")) == "u^8"       # right-assoc, constant folding
     assert to_text(parse("2 - -u")) == "2 + u"
+    # "1/(1 + u)^2" would read back as 1/(1 + 2*u + u^2)
+    assert to_text(parse("u/(1 + u)^2")) == "u/(1 + 2*u + u^2)"
+    assert to_text(parse("u*(1 + u)^(-2)")) == "u*(1 + u)^(-2)"
+
+
+@pytest.mark.parametrize("text,widened", [
+    # a non-integer power is not distributed over a product: at u = x = -1
+    # the left power is defined and the product of roots is not
+    ("(u*x)^(1/2)", "u^(1/2)*x^(1/2)"),
+    # nor collapsed under an integer power: u^(1/2) needs u >= 0, u does not
+    ("(u^(1/2))^2", "u"),
+    ("u^(1/2)*u^(1/2)", "u"),
+    ("(u^2)^(1/2)", "u"),
+])
+def test_non_integer_powers_stay_opaque(text, widened):
+    assert parse(text) != parse(widened)
+    assert parse(text + " - (" + widened + ")") != ZERO
+
+
+def test_fractional_power_of_a_product_keeps_its_domain():
+    point = JetPoint({U: -1.0, X: -4.0})
+    assert evaluate(parse("(u*x)^(1/2)"), point) == pytest.approx(2.0)
+    with pytest.raises(EvaluationError, match="fractional exponent"):
+        evaluate(parse("u^(1/2)*x^(1/2)"), point)
+    with pytest.raises(EvaluationError, match="fractional exponent"):
+        evaluate(parse("(u^(1/2))^2"), JetPoint({U: -1.0}))
+    # integer exponents of one atom still add up, as for any symbol
+    assert parse("u^(1/2)*u^(-1/2)") == ONE
+    assert parse("(1 + u)^(-1)*(1 + u)^(-1)") == parse("(1 + u)^(-2)")
+
+
+def test_parse_and_diff_leave_the_default_table_unchanged():
+    before = DEFAULT_TABLE.names()
+    deep = parse("a" + "'" * 8 + "(u)")
+    assert diff(deep, U) == parse("a" + "'" * 9 + "(u)")
+    assert diff(parse("q(u)"), U) == parse("q'(u)")
+    assert DEFAULT_TABLE.names() == before
+
+
+def test_partial_symbols_of_multivariate_functions_follow_from_their_names():
+    table = build_default_table()
+    table.register("f", arity=2)
+    before = table.names()
+    mixed = diff(diff(parse("f(u, x)", table), U, table), X, table)
+    assert to_text(mixed) == "f_d1_d2(u, x)"
+    assert parse("f_d1_d2(u, x)", table) == mixed
+    assert table.names() == before
+    with pytest.raises(UnknownSymbolError):
+        parse("f_d3(u, x)", table)
 
 
 @pytest.mark.parametrize("text,message,position", [

@@ -1,0 +1,191 @@
+"""Property and differential tests of the normal form over the grammar.
+
+Random expression trees are printed fully parenthesized, parsed (which
+normalizes them) and compared with a float evaluation of the tree itself,
+with their own printed form, with central differences, and, for
+polynomials, with sympy's expansion.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import STANDARD_POLYS
+from lieconserve.expr import (DEFAULT_TABLE, ExprError, JetPoint, ZERO, diff,
+                              evaluate, parse, poly_from_expr,
+                              resolve_instantiations, to_text)
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+SYMBOLS = ("t", "x", "u", "u_x", "u_t")
+FUNCTIONS = ("a", "a'", "A", "q")
+EXPONENTS = tuple(Fraction(q) for q in ("-2", "-1", "2", "3", "1/2", "3/2", "-1/2"))
+# poles and roots of small numbers make the float reference and the
+# difference quotients meaningless, so such samples are skipped
+_MARGIN = 0.2
+
+FUNCS = resolve_instantiations({"a", "A", "q"}, STANDARD_POLYS, DEFAULT_TABLE)
+FUNCS["a'"] = FUNCS["a"].derivative()
+
+
+class Undefined(Exception):
+    pass
+
+
+def _numbers():
+    return st.one_of(st.integers(-3, 3).map(Fraction),
+                     st.sampled_from([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]))
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(("+", "-", "*", "/")), children, children),
+        st.tuples(st.just("^"), children, st.sampled_from(EXPONENTS)),
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.just("call"), st.sampled_from(FUNCTIONS), children),
+    )
+
+
+def trees(symbols=SYMBOLS, leaves=8, extend=_extend):
+    leaf = st.one_of(st.sampled_from(symbols), _numbers())
+    return st.recursive(leaf, extend, max_leaves=leaves)
+
+
+def text(node) -> str:
+    if isinstance(node, str):
+        return node
+    if isinstance(node, Fraction):
+        return "(%s)" % node
+    op = node[0]
+    if op == "neg":
+        return "(-%s)" % text(node[1])
+    if op == "call":
+        return "%s(%s)" % (node[1], text(node[2]))
+    if op == "^":
+        return "(%s^(%s))" % (text(node[1]), node[2])
+    return "(%s %s %s)" % (text(node[1]), op, text(node[2]))
+
+
+def reference(node, values) -> tuple[float, float]:
+    """(value, majorant): float evaluation of the tree as written, and a
+    bound on the size of every term its expansion can produce."""
+    if isinstance(node, str):
+        v = values[node]
+        return v, abs(v)
+    if isinstance(node, Fraction):
+        return float(node), abs(float(node))
+    op = node[0]
+    if op == "neg":
+        v, m = reference(node[1], values)
+        return -v, m
+    if op == "call":
+        v, m = reference(node[2], values)
+        p = FUNCS[node[1]]
+        bound = sum(abs(float(c)) * m ** k for (k,), c in p.coeffs.items())
+        return p(v), bound
+    if op == "^":
+        v, m = reference(node[1], values)
+        q = node[2]
+        if q < 0 and abs(v) < _MARGIN or q.denominator != 1 and v < _MARGIN:
+            raise Undefined
+        if q.denominator != 1:
+            return v ** float(q), v ** float(q)
+        if q < 0:
+            return v ** int(q), abs(v) ** int(q)
+        return v ** int(q), m ** int(q)
+    (a, ma), (b, mb) = reference(node[1], values), reference(node[2], values)
+    if op == "+":
+        return a + b, ma + mb
+    if op == "-":
+        return a - b, ma + mb
+    if op == "*":
+        return a * b, ma * mb
+    if abs(b) < _MARGIN:
+        raise Undefined
+    return a / b, ma / abs(b)
+
+
+def sample(seed: int) -> dict[str, float]:
+    rng = random.Random(seed)
+    return {s: rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5) for s in SYMBOLS}
+
+
+def point(values: dict[str, float]) -> JetPoint:
+    return JetPoint({parse(s): v for s, v in values.items()}, FUNCS)
+
+
+@SETTINGS
+@given(trees(), st.integers(0, 2 ** 32))
+def test_normalization_preserves_the_value(tree, seed):
+    values = sample(seed)
+    try:
+        want, bound = reference(tree, values)
+    except Undefined:
+        assume(False)
+    got = evaluate(parsed(tree), point(values))
+    assert abs(got - want) <= 1e-9 * (1.0 + bound), text(tree)
+
+
+def parsed(tree):
+    """The normalized tree; skips trees that divide by an exact zero."""
+    try:
+        return parse(text(tree))
+    except ExprError:
+        assume(False)
+
+
+@SETTINGS
+@given(trees())
+def test_printed_form_parses_back_to_the_same_expression(tree):
+    e = parsed(tree)
+    assert parse(to_text(e)) == e, text(tree)
+
+
+@SETTINGS
+@given(trees(), st.integers(0, 2 ** 32), st.sampled_from(("u", "u_x", "x")))
+def test_diff_agrees_with_central_differences(tree, seed, var):
+    h = 1e-5
+    values = sample(seed)
+    shifted = []
+    try:
+        _, bound = reference(tree, values)
+        for step in (h, -h):
+            moved = dict(values)
+            moved[var] += step
+            shifted.append(reference(tree, moved)[0])
+    except Undefined:
+        assume(False)
+    d = diff(parsed(tree), parse(var))
+    want = evaluate(d, point(values)) if d != ZERO else 0.0
+    got = (shifted[0] - shifted[1]) / (2 * h)
+    assert abs(want - got) <= 1e-5 * (1.0 + abs(want) + bound), text(tree)
+
+
+def _polynomial_ops(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(("+", "-", "*")), children, children),
+        st.tuples(st.just("^"), children, st.sampled_from([Fraction(2), Fraction(3)])),
+        st.tuples(st.just("neg"), children),
+    )
+
+
+@SETTINGS
+@given(trees(symbols=("t", "x", "u"), leaves=10, extend=_polynomial_ops))
+def test_polynomial_normal_form_matches_sympy_expand(tree):
+    sympy = pytest.importorskip("sympy")
+    source = text(tree)
+    ours = poly_from_expr(parse(source), ("t", "x", "u")).coeffs
+    t, x, u = sympy.symbols("t x u")
+    expanded = sympy.expand(sympy.sympify(source.replace("^", "**")))
+    theirs = {k: Fraction(int(c.p), int(c.q))
+              for k, c in sympy.Poly(expanded, t, x, u).as_dict().items() if c != 0}
+    assert ours == theirs, source
