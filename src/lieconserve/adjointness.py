@@ -18,8 +18,8 @@ from typing import Optional
 
 from .expr import (Const, DEFAULT_TABLE, Expr, ExprError, Func, FunctionDef,
                    FunctionTable, Jet, Param, T, U, U_T, X, ZERO,
-                   ZeroTestConfig, add, diff, free_symbols, is_zero, mul, neg,
-                   from_terms, normalize, power, substitute, to_text)
+                   ZeroTestConfig, add, diff, free_symbols, from_terms,
+                   is_zero, mul, neg, normalize, power, substitute, to_text)
 from .jet_calculus import EvolutionSpec, SpecError, adjoint_of, bind_adjoint_field
 
 SELF_ADJOINT = "self_adjoint"

@@ -32,6 +32,13 @@ _EXPAND_POW_CAP = 8
 
 JET_NAME_RE = re.compile(r"^([uv])(?:_([xt]+))?$")
 
+# binding strength of printed text, for parenthesization
+_PREC_ADD = 10
+_PREC_MUL = 20
+_PREC_NEG = 25
+_PREC_POW = 30
+_PREC_ATOM = 100
+
 
 class ExprError(Exception):
     """Malformed expression construction or manipulation."""
@@ -122,7 +129,7 @@ class Const(Sum):
 class Atom(Expr, str):
     """An indivisible factor; the string value is its canonical text."""
 
-    prec = 100  # binding strength of the text, see the printing section
+    prec = _PREC_ATOM
 
     @property
     def terms(self) -> dict:
@@ -198,16 +205,15 @@ class Pow(Atom):
     """
 
     def __new__(cls, base: Expr, exponent: Fraction):
+        text = _render(base, _PREC_POW + 1)
         if exponent == -1:
-            text, prec = "1/" + _render(base, _PREC_POW + 1), _PREC_MUL
-        elif exponent.denominator == 1:
-            text, prec = _render(base, _PREC_POW + 1) + "^" + str(exponent), _PREC_POW
+            self = str.__new__(cls, "1/" + text)
+            self.prec = _PREC_MUL
         else:
-            text = _render(base, _PREC_POW + 1) + "^(" + _frac_text(exponent) + ")"
-            prec = _PREC_POW
-        self = str.__new__(cls, text)
+            q = str(exponent) if exponent.denominator == 1 else "(%s)" % exponent
+            self = str.__new__(cls, text + "^" + q)
+            self.prec = _PREC_POW
         self.base, self.exponent = self._init = base, exponent
-        self.prec = prec
         return self
 
 
@@ -486,19 +492,6 @@ def substitute(e: Expr, bindings: Mapping[Expr, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # printing: terms and factors are ordered once, here
 
-_PREC_ADD = 10
-_PREC_MUL = 20
-_PREC_NEG = 25
-_PREC_POW = 30
-_PREC_ATOM = 100
-
-
-def _frac_text(c: Rational) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 def _frac_key(c: Rational) -> tuple:
     return (c.numerator, c.denominator)
 
@@ -565,7 +558,7 @@ def _render_term(mono: tuple, c: Rational) -> tuple[bool, str]:
     negative = c < 0
     c = abs(c)
     if not mono:
-        return negative, _frac_text(c)
+        return negative, str(c)
     nums: list[str] = []
     dens: list[str] = []
     if c.numerator != 1:
