@@ -309,7 +309,7 @@ def _mono_power(mono: tuple, c: Rational, n: int) -> Expr:
     kept = []
     sums = []
     for a, k in mono:
-        if k * n < 0 and a.__class__ is Pow and a.exponent == -1:
+        if k * n < 0 and isinstance(a, Pow) and a.exponent == -1:
             sums.append(_int_power(a.base, -k * n))     # 1/(1/s) is s
         else:
             kept.append((a, k * n))
