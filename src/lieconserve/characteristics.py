@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import minimize_scalar
 
-from .expr import (Expr, Jet, Param, Poly, T, U, U_X, X, evaluate,
-                   free_symbols, JetPoint, FunctionTable, DEFAULT_TABLE,
-                   instantiate, normalize)
+from .expr import (Expr, Param, Poly, T, U, U_X, X, evaluate, free_symbols,
+                   JetPoint, FunctionTable, DEFAULT_TABLE, normalize)
 
 PRE_SHOCK_FRACTION = 0.95
+_SHOCK_GRID = 4096
+_ZOOM_PASSES = 8       # each pass shrinks the bracket 32-fold
+_ZOOM_POINTS = 65
 _BISECTION_STEPS = 48
 _NEWTON_STEPS = 4
 
@@ -103,32 +103,29 @@ BUILTIN_PROFILES = {
 }
 
 
-def shock_time(a: Poly, u0: InitialProfile, domain: tuple[float, float],
-               grid: int = 4096) -> float:
+def shock_time(a: Poly, u0: InitialProfile,
+               domain: tuple[float, float]) -> float:
     """First crossing time t* = -1/min (a o u0)'; +inf when the slope
-    never decreases.  Dense grid minimum, sharpened once by bounded local
-    minimization."""
-    if grid < 4096:
-        grid = 4096
+    never decreases.  Dense grid minimum, sharpened by zooming: each pass
+    samples a small grid over the bracket around the current minimum."""
     lo, hi = float(domain[0]), float(domain[1])
-    xs = np.linspace(lo, hi, grid)
     da = a.derivative()
 
     def slope(xi):
-        return da(u0(xi)) * u0.derivative(xi)
+        return np.asarray(da(u0(xi)) * u0.derivative(xi), dtype=float)
 
-    vals = np.asarray(slope(xs), dtype=float)
+    xs = np.linspace(lo, hi, _SHOCK_GRID)
+    vals = slope(xs)
     if not np.all(np.isfinite(vals)):
         raise CharacteristicsError("characteristic slope is not finite on the domain")
     i = int(np.argmin(vals))
     m = float(vals[i])
-    bracket_lo = xs[max(i - 1, 0)]
-    bracket_hi = xs[min(i + 1, grid - 1)]
-    if bracket_hi > bracket_lo:
-        res = minimize_scalar(lambda xi: float(slope(xi)),
-                              bounds=(bracket_lo, bracket_hi), method="bounded")
-        if res.fun < m:
-            m = float(res.fun)
+    for _ in range(_ZOOM_PASSES):
+        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)],
+                         _ZOOM_POINTS)
+        vals = slope(xs)
+        i = int(np.argmin(vals))
+        m = min(m, float(vals[i]))
     if m >= 0.0:
         return math.inf
     return -1.0 / m
@@ -144,7 +141,6 @@ class CharacteristicSolution:
     domain: tuple[float, float]
     boundary: str = "periodic"
     inversion_tol: float = 1e-12
-    grid: int = 4096
     shock_time: float = field(init=False)
 
     def __post_init__(self):
@@ -153,8 +149,8 @@ class CharacteristicSolution:
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("domain bounds must be finite with x_lo < x_hi")
-        self.shock_time = shock_time(self.a, self.u0, self.domain, self.grid)
-        xs = np.linspace(lo, hi, self.grid)
+        self.shock_time = shock_time(self.a, self.u0, self.domain)
+        xs = np.linspace(lo, hi, _SHOCK_GRID)
         speeds = np.asarray(self.a(self.u0(xs)), dtype=float)
         pad = 0.05 * (speeds.max() - speeds.min()) + 1e-6
         self._c_lo = float(speeds.min()) - pad
@@ -261,7 +257,8 @@ def conserved_integral(sol: CharacteristicSolution, density, t: float,
     xs = np.linspace(lo, hi, nodes + 1)
     u, ux = sol.solve_many(xs, t)
     ys = np.array([fn(t, x_, u_, ux_) for x_, u_, ux_ in zip(xs, u, ux)])
-    return float(simpson(ys, x=xs))
+    h = (hi - lo) / nodes
+    return float(h / 3.0 * np.sum(ys[:-1:2] + 4.0 * ys[1::2] + ys[2::2]))
 
 
 @dataclass(frozen=True)

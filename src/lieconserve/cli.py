@@ -211,16 +211,13 @@ def generator_from(args) -> Generator:
     return base
 
 
-def zero_config_from(args) -> Optional[ZeroTestConfig]:
-    if args.zt_samples is None and args.zt_tol is None and args.seed is None:
-        return None
-    cfg = ZeroTestConfig()
+def zero_config_from(args) -> ZeroTestConfig:
+    cfg = ZeroTestConfig(seed=args.seed)
+    cfg.resolved_seed()     # reject a malformed LIECONSERVE_SEED up front
     if args.zt_samples is not None:
         cfg.samples = args.zt_samples
     if args.zt_tol is not None:
         cfg.tolerance = args.zt_tol
-    if args.seed is not None:
-        cfg.seed = args.seed
     return cfg
 
 

@@ -11,9 +11,9 @@ from .functions import (DEFAULT_TABLE, FunctionDef, FunctionTable,
 from .derive import diff
 from .parser import ExprSyntaxError, UnknownSymbolError, parse
 from .evaluate import (EvaluationError, InconclusiveZeroTest, JetPoint, Poly,
-                       ZeroTestConfig, ZeroVerdict, default_instantiations,
-                       evaluate, instantiate, is_zero, poly_from_expr,
-                       poly_to_expr, resolve_instantiations)
+                       SeedError, ZeroTestConfig, ZeroVerdict,
+                       default_instantiations, evaluate, instantiate, is_zero,
+                       poly_from_expr, poly_to_expr, resolve_instantiations)
 
 __all__ = [
     "Atom", "Const", "Expr", "ExprError", "Func", "Jet", "JetDepthError",
@@ -24,7 +24,7 @@ __all__ = [
     "DEFAULT_TABLE", "FunctionDef", "FunctionTable", "UnknownFunctionError",
     "build_default_table", "diff", "ExprSyntaxError", "UnknownSymbolError",
     "parse", "EvaluationError", "InconclusiveZeroTest", "JetPoint", "Poly",
-    "ZeroTestConfig", "ZeroVerdict", "default_instantiations", "evaluate",
-    "instantiate", "is_zero", "poly_from_expr", "poly_to_expr",
+    "SeedError", "ZeroTestConfig", "ZeroVerdict", "default_instantiations",
+    "evaluate", "instantiate", "is_zero", "poly_from_expr", "poly_to_expr",
     "resolve_instantiations",
 ]

@@ -36,6 +36,10 @@ class InconclusiveZeroTest(ExprError):
     """Every sample hit a pole; the zero test has no information."""
 
 
+class SeedError(ExprError):
+    """The seed environment variable does not hold an integer."""
+
+
 ENV_SEED = "LIECONSERVE_SEED"
 _DEFAULT_SEED = 170824
 
@@ -54,10 +58,6 @@ class Poly:
     @classmethod
     def identity(cls) -> "Poly":
         return cls({(1,): Fraction(1)})
-
-    @classmethod
-    def constant(cls, c, nvars: int = 1) -> "Poly":
-        return cls({(0,) * nvars: Fraction(c)}, nvars)
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.coeffs)
@@ -99,9 +99,6 @@ class Poly:
         if vals and isinstance(vals[0], np.ndarray) and np.ndim(acc) == 0:
             acc = np.full_like(vals[0], acc, dtype=float)
         return acc
-
-    def degree(self) -> int:
-        return max((sum(k) for k in self.coeffs), default=0)
 
     def __repr__(self):
         return "Poly(%r)" % (self.coeffs,)
@@ -159,7 +156,7 @@ class JetPoint:
         return ", ".join(parts)
 
 
-def default_instantiations(table: FunctionTable | None = None) -> list[Poly]:
+def default_instantiations() -> list[Poly]:
     """The standard probe set; each has a nonvanishing derivative off zero."""
     return [
         Poly({(1,): Fraction(1)}),                      # w
@@ -293,7 +290,8 @@ class ZeroTestConfig:
             try:
                 return int(env)
             except ValueError:
-                pass
+                raise SeedError("%s must be an integer, got %r"
+                                % (ENV_SEED, env)) from None
         return _DEFAULT_SEED
 
 

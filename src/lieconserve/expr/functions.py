@@ -57,18 +57,11 @@ _DERIVED_NAME_RE = re.compile(r"^(.+?)('+|(?:_d\d+)+)$")
 
 
 class FunctionTable:
-    """Mutable symbol registry; copies are cheap via ``extended``."""
+    """Immutable symbol registry; ``extended`` returns a copy with more
+    symbols."""
 
     def __init__(self, defs: Optional[dict[str, FunctionDef]] = None):
         self._defs: dict[str, FunctionDef] = dict(defs or {})
-
-    def register(self, name: str, arity: int = 1, rewrite=None,
-                 derived_poly=None, derived_deps: Sequence[str] = ()) -> FunctionDef:
-        fdef = FunctionDef(name, arity, rewrite=rewrite,
-                           derived_poly=derived_poly,
-                           derived_deps=tuple(derived_deps))
-        self._defs[name] = fdef
-        return fdef
 
     def extended(self, *fdefs: FunctionDef) -> "FunctionTable":
         out = FunctionTable(self._defs)
@@ -122,15 +115,16 @@ def _density_antiderivative_rewrite(i: int, args: tuple[Expr, ...]) -> Expr:
 
 
 def build_default_table() -> FunctionTable:
-    table = FunctionTable()
-    table.register("a")            # wave speed, function of u
-    table.register("A", rewrite=_density_antiderivative_rewrite,
-                   derived_poly=_density_antiderivative_poly, derived_deps=("a",))
-    table.register("q")            # spatial profile, function of x
-    table.register("phi")          # multiplier candidates, function of u
-    table.register("tau")          # generator components depending on u only
-    table.register("xi")
-    return table
+    return FunctionTable().extended(
+        FunctionDef("a"),          # wave speed, function of u
+        FunctionDef("A", rewrite=_density_antiderivative_rewrite,
+                    derived_poly=_density_antiderivative_poly,
+                    derived_deps=("a",)),
+        FunctionDef("q"),          # spatial profile, function of x
+        FunctionDef("phi"),        # multiplier candidates, function of u
+        FunctionDef("tau"),        # generator components depending on u only
+        FunctionDef("xi"),
+    )
 
 
 def _density_antiderivative_poly(polys):

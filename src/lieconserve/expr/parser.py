@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .functions import DEFAULT_TABLE, FunctionTable, UnknownFunctionError
-from .tree import (Const, Expr, Func, JET_NAME_RE, Jet, MAX_JET_ORDER, Param,
-                   add, constant_value, mul, neg, power)
+from .tree import (Const, Expr, ExprError, Func, JET_NAME_RE, Jet,
+                   MAX_JET_ORDER, Param, add, constant_value, mul, neg, power)
 
 
 class ExprSyntaxError(ValueError):
@@ -172,7 +172,11 @@ class _Parser:
         if t.text == "*":
             return mul(left, self.expression(_BP["*"]))
         if t.text == "/":
-            return mul(left, power(self.expression(_BP["/"]), -1))
+            denominator = self.expression(_BP["/"])
+            try:
+                return mul(left, power(denominator, -1))
+            except ExprError as err:
+                raise ExprSyntaxError(str(err), t.pos) from None
         if t.text == "^":
             exp = constant_value(self.expression(_BP["^"] - 1))  # right-associative
             if exp is None:

@@ -10,6 +10,7 @@ import pytest
 from lieconserve.characteristics import (CharacteristicSolution,
                                          CharacteristicsError,
                                          conserved_integral,
+                                         gaussian_profile,
                                          polynomial_profile, shock_time,
                                          sine_profile, spline_bump_profile,
                                          verify_law)
@@ -32,6 +33,14 @@ def test_shock_time_for_the_bump_profile():
     u0 = spline_bump_profile(0.5, 0.0, 0.375)
     # steepest descent of the cubic kernel: slope amp/halfwidth = 4/3
     assert shock_time(IDENT, u0, (-1.2, 1.2)) == pytest.approx(0.75, abs=1e-9)
+
+
+def test_shock_time_for_gaussian_data_is_exact_to_rounding():
+    # a = u^2 on exp(-x^2): the slope -4x exp(-2x^2) is steepest at x = 1/2
+    square = Poly({(2,): Fraction(1)})
+    t_star = shock_time(square, gaussian_profile(), (-6.0, 6.0))
+    exact = math.sqrt(math.e) / 2.0
+    assert abs(t_star - exact) <= 1e-14 * exact
 
 
 def test_monotone_increasing_data_never_shocks():
@@ -101,6 +110,13 @@ def test_quadrature_convergence_on_a_non_periodic_window():
         errors.append(abs(q - exact))
     assert errors[0] / errors[1] >= 8.0
     assert errors[1] / errors[2] >= 8.0
+
+
+def test_simpson_is_exact_on_a_cubic_density():
+    sol = sine_solution()
+    q = conserved_integral(sol, parse("x^3 - 2*x + 1"), 0.0, nodes=64)
+    exact = TWO_PI ** 4 / 4.0 - TWO_PI ** 2 + TWO_PI
+    assert abs(q - exact) <= 1e-13 * exact
 
 
 def test_conserved_integral_validates_node_count():

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lieconserve
 from lieconserve.cli import main
 
 PI_TEXT = "%.15f" % (2.0 * math.pi)
@@ -123,6 +128,26 @@ def test_claw_numeric_run_reports_the_conserved_value(capsys, tmp_path):
         assert q == pytest.approx(math.pi / 2, rel=1e-6)
 
 
+def test_numeric_claw_runs_without_scipy():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    script = (
+        "import sys\n"
+        "from lieconserve.cli import main\n"
+        "code = main(['claw', '--builtin', 'burgers', '--catalog', 'l1',\n"
+        "             '--a', 'u', '--numeric', 'sin', '--domain', '0', %r,\n"
+        "             '--times', '0.25', '0.5', '0.75', '0.9',\n"
+        "             '--nodes', '2048'])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.split('.')[0] == 'scipy'))\n" % PI_TEXT)
+    src = str(Path(lieconserve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"    # exit code, scipy modules
+
+
 def test_json_format_prints_the_report_to_stdout(capsys):
     code, out, _ = run(capsys, "claw", "--builtin", "burgers",
                        "--catalog", "X4", "--format", "json")
@@ -171,6 +196,18 @@ def test_configuration_errors_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error" in err.lower()
+
+
+def test_malformed_seed_variable_is_a_configuration_error(capsys, monkeypatch):
+    monkeypatch.setenv("LIECONSERVE_SEED", "abc")
+    # the residuals of X7 are structural zeros, so no sample is ever drawn
+    code, _, err = run(capsys, "verify", "--builtin", "burgers",
+                       "--generator", "X7")
+    assert code == 1
+    assert "error: LIECONSERVE_SEED must be an integer, got 'abc'" in err
+    code, _, _ = run(capsys, "verify", "--builtin", "burgers",
+                     "--generator", "X7", "--seed", "5")
+    assert code == 0
 
 
 def test_claw_inconclusive_classification_exits_three(capsys):

@@ -9,9 +9,10 @@ import pytest
 
 from conftest import CORPUS, STANDARD_POLYS, bound_point, parsed_corpus
 from lieconserve.expr import (Const, DEFAULT_TABLE, EvaluationError,
-                              ExprSyntaxError, InconclusiveZeroTest, Jet,
-                              JetPoint, ONE, Poly, U, U_X, UnknownSymbolError,
-                              X, ZERO, ZeroTestConfig, build_default_table,
+                              ExprSyntaxError, FunctionDef,
+                              InconclusiveZeroTest, Jet, JetPoint, ONE, Poly,
+                              SeedError, U, U_X, UnknownSymbolError, X, ZERO,
+                              ZeroTestConfig, build_default_table,
                               diff, evaluate, free_symbols, instantiate,
                               is_zero, normalize, parse, poly_from_expr,
                               poly_to_expr, resolve_instantiations, to_text)
@@ -80,8 +81,7 @@ def test_parse_and_diff_leave_the_default_table_unchanged():
 
 
 def test_partial_symbols_of_multivariate_functions_follow_from_their_names():
-    table = build_default_table()
-    table.register("f", arity=2)
+    table = build_default_table().extended(FunctionDef("f", arity=2))
     before = table.names()
     mixed = diff(diff(parse("f(u, x)", table), U, table), X, table)
     assert to_text(mixed) == "f_d1_d2(u, x)"
@@ -99,6 +99,7 @@ def test_partial_symbols_of_multivariate_functions_follow_from_their_names():
     ("u_xxxx", "exceeds supported order", 0),
     ("a(u,t)", "takes 1 argument(s), got 2", 0),
     ("", "unexpected end of input", 0),
+    ("t/0", "zero raised to a negative power", 1),
 ])
 def test_syntax_errors_carry_offsets(text, message, position):
     with pytest.raises(ExprSyntaxError) as exc:
@@ -207,6 +208,13 @@ def test_is_zero_is_reproducible_and_seed_sensitive(monkeypatch):
     assert w3 != w1
     w4 = is_zero(e, ZeroTestConfig(seed=7)).witness.values[U]
     assert w4 != w3  # explicit seed beats the environment
+
+
+def test_a_malformed_seed_variable_is_rejected(monkeypatch):
+    monkeypatch.setenv("LIECONSERVE_SEED", "abc")
+    with pytest.raises(SeedError, match="LIECONSERVE_SEED.*'abc'"):
+        is_zero(parse("a'(u)*u"))
+    assert not is_zero(parse("a'(u)*u"), ZeroTestConfig(seed=7)).zero
 
 
 def test_is_zero_raises_when_every_sample_hits_a_pole():
