@@ -24,8 +24,9 @@ PRE_SHOCK_FRACTION = 0.95
 _SHOCK_GRID = 4096
 _ZOOM_PASSES = 8       # each pass shrinks the bracket 32-fold
 _ZOOM_POINTS = 65
-_BISECTION_STEPS = 48
-_NEWTON_STEPS = 4
+_NEWTON_CAP = 100      # a bisection fallback halves the bracket each time
+_EPS = float(np.finfo(float).eps)
+MAX_NODES = 2 ** 20
 
 
 class CharacteristicsError(RuntimeError):
@@ -167,11 +168,13 @@ class CharacteristicSolution:
             raise CharacteristicsError(
                 "t = %g is past the pre-shock horizon %g" % (t, self.horizon()))
 
-    def _feet(self, xs: np.ndarray, t: float) -> np.ndarray:
-        """Characteristic feet: solve xi + a(u0(xi))*t = x componentwise by
-        bisection on a guaranteed bracket, then Newton polish."""
+    def _feet(self, xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Characteristic feet xi and u0(xi): solve xi + a(u0(xi))*t = x
+        componentwise by Newton's method safeguarded by a guaranteed
+        bracket.  A Newton step that leaves its row's bracket is replaced
+        by the bracket midpoint."""
         if t == 0.0:
-            return xs.copy()
+            return xs.copy(), self.u0(xs)
 
         def g(xi):
             return xi + self.a(self.u0(xi)) * t - xs
@@ -195,31 +198,36 @@ class CharacteristicSolution:
             raise CharacteristicsError(
                 "characteristic bracket failed at t = %g (pre-shock "
                 "inversion should always bracket)" % t)
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            take_hi = gm > 0.0
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
-        xi = 0.5 * (lo + hi)
-        for _ in range(_NEWTON_STEPS):
-            residual = g(xi)
-            deriv = 1.0 + t * self._da(self.u0(xi)) * self.u0.derivative(xi)
-            xi = xi - residual / deriv
-        if np.max(np.abs(g(xi))) > self.inversion_tol * (1.0 + np.max(np.abs(xs))):
+        xi = np.clip(xs - self.a(self.u0(xs)) * t, lo, hi)
+        tiny = 4.0 * _EPS * (1.0 + np.max(np.abs(xs)))
+        for _ in range(_NEWTON_CAP):
+            u = self.u0(xi)
+            residual = xi + self.a(u) * t - xs
+            hi = np.where(residual > 0.0, xi, hi)
+            lo = np.where(residual < 0.0, xi, lo)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = residual / (1.0 + t * self._da(u) * self.u0.derivative(xi))
+                new = xi - step
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            moved = np.max(np.abs(new - xi))
+            xi = new
+            if moved <= tiny:
+                break
+        u = self.u0(xi)
+        if (np.max(np.abs(xi + self.a(u) * t - xs))
+                > self.inversion_tol * (1.0 + np.max(np.abs(xs)))):
             raise CharacteristicsError(
                 "characteristic inversion stalled above tolerance %g"
                 % self.inversion_tol)
-        return xi
+        return xi, u
 
     def solve_many(self, xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(u, u_x) arrays at fixed time along the given x samples."""
         self._check_time(t)
         xs = np.asarray(xs, dtype=float)
-        xi = self._feet(xs, t)
-        u = self.u0(xi)
+        xi, u = self._feet(xs, t)
         du = self.u0.derivative(xi)
-        denom = 1.0 + t * self._da(self.u0(xi)) * du
+        denom = 1.0 + t * self._da(u) * du
         return u, du / denom
 
     def solve_at(self, x: float, t: float) -> tuple[float, float]:
@@ -227,9 +235,9 @@ class CharacteristicSolution:
         return float(u[0]), float(ux[0])
 
 
-def _jet_callable(e: Expr, table: FunctionTable):
-    """Pointwise evaluator for an expression over t, x, u, u_x with every
-    opaque function already instantiated."""
+def _array_density(e: Expr, table: FunctionTable):
+    """The expression over t, x, u, u_x (every opaque function already
+    instantiated) as a callable of those four, evaluated on whole arrays."""
     e = normalize(e)
     allowed = {T, X, U, U_X}
     for sym in free_symbols(e):
@@ -238,7 +246,7 @@ def _jet_callable(e: Expr, table: FunctionTable):
         raise CharacteristicsError(
             "numeric densities may depend on t, x, u, u_x only; found %s" % sym)
 
-    def call(t: float, x: float, u: float, ux: float) -> float:
+    def call(t, x, u, ux):
         return evaluate(e, JetPoint({T: t, X: x, U: u, U_X: ux}), table)
 
     return call
@@ -249,14 +257,18 @@ def conserved_integral(sol: CharacteristicSolution, density, t: float,
                        table: FunctionTable = DEFAULT_TABLE) -> float:
     """Composite Simpson integral of the density over the domain at fixed
     t.  The density is an Expr over (t, x, u, u_x) or a callable of the
-    same four arguments; nodes counts subintervals, even and >= 64."""
+    same four arguments, called once with t a float and x, u, u_x arrays
+    over all nodes; it returns an array of their shape (or a constant).
+    nodes counts subintervals: even, at least 64 and at most MAX_NODES."""
     if nodes < 64 or nodes % 2:
         raise ValueError("nodes must be even and at least 64")
-    fn = _jet_callable(density, table) if isinstance(density, Expr) else density
+    if nodes > MAX_NODES:
+        raise ValueError("nodes must be at most %d, got %d" % (MAX_NODES, nodes))
+    fn = _array_density(density, table) if isinstance(density, Expr) else density
     lo, hi = sol.domain
     xs = np.linspace(lo, hi, nodes + 1)
     u, ux = sol.solve_many(xs, t)
-    ys = np.array([fn(t, x_, u_, ux_) for x_, u_, ux_ in zip(xs, u, ux)])
+    ys = np.broadcast_to(np.asarray(fn(t, xs, u, ux), dtype=float), xs.shape)
     h = (hi - lo) / nodes
     return float(h / 3.0 * np.sum(ys[:-1:2] + 4.0 * ys[1::2] + ys[2::2]))
 
@@ -292,6 +304,11 @@ def verify_law(sol: CharacteristicSolution, c0: Expr, c1: Expr,
     dQ/dt.  Times past the pre-shock horizon are rejected.
     """
     times = tuple(float(t) for t in times)
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError("times must be finite, got %r" % t)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite, got %r" % tol)
     horizon = sol.horizon()
     for t in times:
         if t > horizon:
@@ -299,8 +316,8 @@ def verify_law(sol: CharacteristicSolution, c0: Expr, c1: Expr,
                 "time %g is past the pre-shock horizon %g" % (t, horizon))
     flux_autonomous = not any(
         sym in (T, X) for sym in free_symbols(normalize(c1)))
-    c0_fn = _jet_callable(c0, table)
-    c1_fn = _jet_callable(c1, table)
+    c0_fn = _array_density(c0, table)
+    c1_fn = _array_density(c1, table)
 
     def q_at(t: float) -> float:
         return conserved_integral(sol, c0_fn, t, nodes, table)

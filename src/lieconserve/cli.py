@@ -374,7 +374,7 @@ def cmd_claw(args) -> int:
                       else to_text(div.residual)}
     ok = div.passed
 
-    if args.times:
+    if args.numeric or args.domain is not None or args.times:
         numeric = _run_numeric(args, spec, cv, lines)
         report["numeric"] = numeric
         ok = ok and numeric["pass"]
@@ -385,7 +385,7 @@ def cmd_claw(args) -> int:
 
 
 def _run_numeric(args, spec: EvolutionSpec, cv, lines: list[str]) -> dict:
-    if not args.numeric or args.domain is None:
+    if not args.numeric or args.domain is None or not args.times:
         raise CliError("numeric mode needs --numeric, --domain and --times")
     if args.a is None:
         raise CliError("numeric mode needs --a, the polynomial instantiation "

@@ -3,8 +3,9 @@
 Opaque function symbols are evaluated through polynomial instantiations;
 primed symbols evaluate as true derivatives of the instantiated polynomial,
 so identities that hold for arbitrary smooth choices can be probed by
-sampling.  ``is_zero`` short-circuits on structural zeros and otherwise
-samples jet points from a box that excludes a neighbourhood of zero.
+sampling.  ``evaluate`` takes floats or numpy arrays for the symbols.
+``is_zero`` short-circuits on structural zeros and otherwise samples jet
+points from a box that excludes a neighbourhood of zero.
 """
 
 from __future__ import annotations
@@ -141,9 +142,10 @@ def poly_to_expr(p: Poly, args: Sequence[Expr]) -> Expr:
 
 @dataclass
 class JetPoint:
-    """A concrete sample: symbol values plus function instantiations."""
+    """A concrete sample: symbol values plus function instantiations.  The
+    values are floats or numpy arrays of one shape (a batch of points)."""
 
-    values: dict[Expr, float]
+    values: dict[Expr, float | np.ndarray]
     functions: dict[str, Poly] = field(default_factory=dict)
 
     def describe(self) -> str:
@@ -263,14 +265,66 @@ class _Evaluator:
         return go(e), scale
 
 
-def evaluate(e: Expr, point: JetPoint, table: FunctionTable | None = None) -> float:
-    """Evaluate e at the point; raises EvaluationError on poles or unbound
-    symbols."""
+def evaluate(e: Expr, point: JetPoint,
+             table: FunctionTable | None = None) -> float | np.ndarray:
+    """Evaluate e at the point, or at every point of a batch when the values
+    are arrays (the result is then an array of their shape, or a float for
+    an expression that uses none of them).  Raises EvaluationError on
+    poles, negative bases under fractional powers, unbound symbols or
+    uninstantiated functions; in a batch, when any point has one.
+
+    The operation order is ``_Evaluator.eval``'s: ``float(c)``, then the
+    factors multiplied in one by one, then the terms summed.  Powers go
+    through ``np.power`` for floats and arrays alike, so an array element
+    gets the same bits as the float evaluation at that point, unless an
+    opaque function symbol is evaluated through its ``Poly``.
+    """
     table = table if table is not None else DEFAULT_TABLE
     names = {table[n].base for n in function_names(e)}
     functions = resolve_instantiations(names, point.functions, table) if names else {}
-    val, _ = _Evaluator(table, functions).eval(e, point.values)
-    return val
+    poly_for = _Evaluator(table, functions)._poly_for
+    values = point.values
+    atom_values: dict = {}
+
+    def atom_value(a):
+        if isinstance(a, Func):
+            return poly_for(a.name)(*[go(arg) for arg in a.args])
+        if isinstance(a, Pow):
+            b = go(a.base)
+            q = a.exponent
+            if q == -1:
+                if np.any(b == 0.0):
+                    raise EvaluationError("division by zero", a)
+                return 1.0 / b
+            if q.denominator == 1:
+                return np.power(b, q.numerator)
+            if np.any(b < 0.0):
+                raise EvaluationError("negative base with fractional exponent", a)
+            return np.power(b, float(q))
+        if a not in values:
+            raise EvaluationError("unbound symbol", a)
+        v = values[a]
+        return np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v)
+
+    def go(n: Expr):
+        total = 0.0
+        for mono, c in n.terms.items():
+            val = float(c)
+            for a, k in mono:
+                x = atom_values.get(a)
+                if x is None:
+                    x = atom_values[a] = atom_value(a)
+                if k == 1:
+                    val = val * x
+                elif k < 0 and np.any(x == 0.0):
+                    raise EvaluationError("division by zero", a)
+                else:
+                    val = val * np.power(x, k)
+            total = total + val
+        return total
+
+    val = go(e)
+    return val if isinstance(val, np.ndarray) else float(val)
 
 
 @dataclass

@@ -127,7 +127,10 @@ class _Parser:
 
     def nud(self, t: _Token) -> Expr:
         if t.kind == "num":
-            return Const(Fraction(t.text))
+            try:
+                return Const(Fraction(t.text))
+            except ValueError:      # past Python's integer-string limit
+                raise ExprSyntaxError("number literal too long", t.pos) from None
         if t.kind == "name":
             nxt = self.tok
             if nxt.kind == "op" and nxt.text == "(":

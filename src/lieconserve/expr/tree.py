@@ -30,6 +30,11 @@ MAX_JET_ORDER = 3
 # the power of a sum is one opaque atom.
 _EXPAND_POW_CAP = 8
 
+# Exact constants stay printable: Python refuses str() of an integer past
+# 4300 digits, so printing refuses any numerator, denominator or exponent
+# past this many bits, and constant powers that would pass it raise.
+_MAX_CONST_BITS = 13000        # about 3900 decimal digits
+
 JET_NAME_RE = re.compile(r"^([uv])(?:_([xt]+))?$")
 
 # binding strength of printed text, for parenthesization
@@ -210,7 +215,9 @@ class Pow(Atom):
             self = str.__new__(cls, "1/" + text)
             self.prec = _PREC_MUL
         else:
-            q = str(exponent) if exponent.denominator == 1 else "(%s)" % exponent
+            q = _num_text(exponent)
+            if exponent.denominator != 1:
+                q = "(" + q + ")"
             self = str.__new__(cls, text + "^" + q)
             self.prec = _PREC_POW
         self.base, self.exponent = self._init = base, exponent
@@ -313,6 +320,10 @@ def _mono_power(mono: tuple, c: Rational, n: int) -> Expr:
             sums.append(_int_power(a.base, -k * n))     # 1/(1/s) is s
         else:
             kept.append((a, k * n))
+    width = max(c.numerator.bit_length(), c.denominator.bit_length()) - 1
+    if abs(n) > 1 and abs(n) * width > _MAX_CONST_BITS:
+        raise ExprError("constant power too large: exact constants are "
+                        "limited to %d bits" % _MAX_CONST_BITS)
     coeff = Fraction(c) ** n if n < 0 else c ** n
     terms = {tuple(kept): _rational(coeff)}
     for s in sums:
@@ -553,30 +564,40 @@ def _render(e: Expr, prec: int) -> str:
     return "(" + text + ")" if p < prec else text
 
 
+def _num_text(c: Rational) -> str:
+    """str(c), refusing a numerator or denominator past the size limit."""
+    if max(c.numerator.bit_length(),
+           c.denominator.bit_length()) > _MAX_CONST_BITS:
+        raise ExprError("constant too large to print: exact constants are "
+                        "limited to %d bits" % _MAX_CONST_BITS)
+    return str(c)
+
+
 def _render_term(mono: tuple, c: Rational) -> tuple[bool, str]:
     """Render a term as (is_negative, unsigned text)."""
     negative = c < 0
     c = abs(c)
     if not mono:
-        return negative, str(c)
+        return negative, _num_text(c)
     nums: list[str] = []
     dens: list[str] = []
     if c.numerator != 1:
-        nums.append(str(c.numerator))
+        nums.append(_num_text(c.numerator))
     if c.denominator != 1:
-        dens.append(str(c.denominator))
+        dens.append(_num_text(c.denominator))
     for a, k in sorted(mono, key=lambda f: _factor_key(*f)):
         if isinstance(a, Pow) and a.exponent == -1:
             # "1/(1 + u)^2" would read back as 1/(1 + 2*u + u^2)
             if k == 1:
                 dens.append(_render(a.base, _PREC_MUL + 1))
             else:
-                nums.append(_render(a.base, _PREC_POW + 1) + "^(-%d)" % k)
+                nums.append(_render(a.base, _PREC_POW + 1)
+                            + "^(-" + _num_text(k) + ")")
             continue
         target = nums if k > 0 else dens
         k = abs(k)
         target.append(_render(a, _PREC_MUL + 1) if k == 1
-                      else _render(a, _PREC_POW + 1) + "^" + str(k))
+                      else _render(a, _PREC_POW + 1) + "^" + _num_text(k))
     if not nums:
         nums.append("1")
     text = "*".join(nums)

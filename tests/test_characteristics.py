@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lieconserve.characteristics import (CharacteristicSolution,
@@ -14,10 +15,16 @@ from lieconserve.characteristics import (CharacteristicSolution,
                                          polynomial_profile, shock_time,
                                          sine_profile, spline_bump_profile,
                                          verify_law)
-from lieconserve.expr import Poly, parse
+from lieconserve.conservation import burgers_claw_catalog
+from lieconserve.expr import (DEFAULT_TABLE, EvaluationError, Func, JetPoint,
+                              Poly, T, U, U_X, X, ZERO, evaluate, instantiate,
+                              parse, poly_from_expr)
+from lieconserve.expr.evaluate import _Evaluator
+from lieconserve.jet_calculus import EvolutionSpec, on_solution_reduce
 
 IDENT = Poly({(1,): Fraction(1)})        # a(u) = u
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 
 def sine_solution(**kw) -> CharacteristicSolution:
@@ -176,3 +183,95 @@ def test_smooth_transport_conserves_every_u_integral():
     assert drift <= 1e-10
     # the values sit far from the conserved-energy reference pi/2
     assert min(abs(q - math.pi / 2) for q in qs) > 1e-3
+
+
+@pytest.mark.parametrize("speed", ["u", "u + u^3/3"])
+def test_array_evaluation_matches_pointwise_evaluation_bit_for_bit(speed):
+    spec = EvolutionSpec.quasilinear(Func("a", (U,)), ZERO)
+    functions = {"a": poly_from_expr(parse(speed))}
+    rng = np.random.default_rng(11)
+    t = 0.37
+    xs = rng.uniform(-3.0, 3.0, 200)
+    us = rng.uniform(0.1, 2.0, 200) * rng.choice((-1.0, 1.0), 200)
+    uxs = rng.uniform(-2.0, 2.0, 200)
+    reference = _Evaluator(DEFAULT_TABLE, {})
+    laws = burgers_claw_catalog()
+    assert len(laws) == 6
+    for label, cv in laws:
+        for part in (cv.c0, cv.c1):
+            e = instantiate(on_solution_reduce(part, spec), functions)
+            batch = evaluate(e, JetPoint({T: t, X: xs, U: us, U_X: uxs}))
+            single = [evaluate(e, JetPoint({T: t, X: x, U: u, U_X: ux}))
+                      for x, u, ux in zip(xs, us, uxs)]
+            assert np.array_equal(batch, np.array(single)), (label, e)
+            # the zero test's float evaluator, with Python's own powers, is
+            # the reference; powers may differ from numpy's in the last bit
+            for x, u, ux, got in zip(xs, us, uxs, batch):
+                want, scale = reference.eval(e, {T: t, X: x, U: u, U_X: ux})
+                assert abs(got - want) <= 16 * EPS * (1.0 + scale), (label, e)
+
+
+def test_array_evaluation_keeps_pole_and_domain_checks():
+    sol = sine_solution()        # u = 0 exactly at x = 0, negative on (pi, 2pi)
+    with pytest.raises(EvaluationError, match="division by zero in u"):
+        conserved_integral(sol, parse("1/u"), 0.5, nodes=256)
+    with pytest.raises(EvaluationError, match="negative base"):
+        conserved_integral(sol, parse("u^(1/2)"), 0.5, nodes=256)
+
+
+@pytest.mark.parametrize("speed", ["u", "u^2", "u + u^3/3"])
+@pytest.mark.parametrize("profile, domain, boundary", [
+    (sine_profile(), (0.0, TWO_PI), "periodic"),
+    (gaussian_profile(), (-6.0, 6.0), "compact"),
+    (spline_bump_profile(0.5, 0.0, 0.375), (-1.2, 1.2), "compact"),
+])
+def test_characteristic_feet_solve_the_implicit_equation_to_rounding(
+        speed, profile, domain, boundary):
+    a = poly_from_expr(parse(speed))
+    sol = CharacteristicSolution(a, profile, domain, boundary)
+    t = sol.horizon()                    # 0.95 t*
+    xs = np.linspace(domain[0], domain[1], 2049)
+    xi, u = sol._feet(xs, t)
+    assert np.array_equal(u, profile(xi))
+    residual = np.abs(xi + a(profile(xi)) * t - xs)
+    assert np.all(residual <= 8.0 * EPS * (1.0 + np.abs(xs)))
+
+
+def test_callable_densities_receive_whole_arrays():
+    sol = sine_solution()
+    seen = []
+
+    def energy(t, x, u, ux):
+        seen.append(np.shape(u))
+        return u ** 2 / 2
+
+    q = conserved_integral(sol, energy, 0.5, nodes=2048)
+    assert q == pytest.approx(math.pi / 2, rel=1e-9)
+    assert seen == [(2049,)]
+    # a constant callable is spread over the nodes
+    one = conserved_integral(sol, lambda t, x, u, ux: 1.0, 0.5, nodes=64)
+    assert one == pytest.approx(TWO_PI, rel=1e-14)
+
+
+def test_conserved_integral_refuses_node_counts_past_the_limit(monkeypatch):
+    sol = sine_solution()
+
+    def no_solve(*args):
+        raise AssertionError("solved before the node count was checked")
+
+    monkeypatch.setattr(sol, "solve_many", no_solve)
+    with pytest.raises(ValueError, match="at most 1048576"):
+        conserved_integral(sol, parse("u"), 0.1, nodes=2 ** 20 + 2)
+
+
+@pytest.mark.parametrize("times, tol, message", [
+    ((0.25, math.nan), 1e-6, "times must be finite"),
+    ((math.inf,), 1e-6, "times must be finite"),
+    ((0.25,), -1.0, "tol must be positive"),
+    ((0.25,), 0.0, "tol must be positive"),
+    ((0.25,), math.nan, "tol must be positive"),
+])
+def test_verify_law_rejects_bad_requests_up_front(times, tol, message):
+    sol = sine_solution()
+    with pytest.raises(ValueError, match=message):
+        verify_law(sol, parse("u^2/2"), parse("u^3/3"), times, tol=tol)

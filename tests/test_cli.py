@@ -198,6 +198,49 @@ def test_configuration_errors_exit_one(capsys, argv):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize("extra", [
+    ("--numeric", "sin", "--domain", "0", PI_TEXT, "--nodes", "2048"),
+    ("--numeric", "sin"),
+    ("--domain", "0", PI_TEXT),
+])
+def test_partial_numeric_requests_are_errors_not_skipped(capsys, extra):
+    code, out, err = run(capsys, "claw", "--builtin", "burgers", "--catalog",
+                         "l1", "--a", "u", *extra)
+    assert code == 1
+    assert "numeric mode needs --numeric, --domain and --times" in err
+    assert "numeric check" not in out
+
+
+@pytest.mark.parametrize("profile, extra, message", [
+    ("sin", ("--times", "nan"), "times must be finite"),
+    ("sin", ("--times", "0.5", "--tol", "-1"), "tol must be positive"),
+    ("sin", ("--times", "0.5", "--tol", "nan"), "tol must be positive"),
+    ("sin", ("--times", "0.5", "--nodes", str(2 ** 20 + 2)),
+     "nodes must be at most 1048576"),
+    # x^2 rises on the domain but falls left of it: no bracket there
+    ("x^2", ("--times", "1"), "characteristic bracket failed at t = 1"),
+])
+def test_bad_numeric_requests_exit_one(capsys, profile, extra, message):
+    code, out, err = run(capsys, "claw", "--builtin", "burgers", "--catalog",
+                         "l1", "--a", "u", "--numeric", profile,
+                         "--domain", "0", PI_TEXT, *extra)
+    assert code == 1
+    assert "error: " + message in err
+    assert "Q = " not in out
+
+
+def test_huge_constants_exit_one_with_a_message(capsys):
+    code, _, err = run(capsys, "claw", "--alpha", "u*2^20000", "--beta", "0",
+                       "--tau", "1")
+    assert code == 1
+    assert "error: cannot parse --alpha" in err and "13000 bits" in err
+    # each factor parses, but the product is too large to print
+    code, _, err = run(capsys, "claw", "--alpha", "u*2^7000*2^7000",
+                       "--beta", "0", "--tau", "1")
+    assert code == 1
+    assert "error: constant too large to print" in err
+
+
 def test_malformed_seed_variable_is_a_configuration_error(capsys, monkeypatch):
     monkeypatch.setenv("LIECONSERVE_SEED", "abc")
     # the residuals of X7 are structural zeros, so no sample is ever drawn

@@ -9,13 +9,14 @@ import pytest
 
 from conftest import CORPUS, STANDARD_POLYS, bound_point, parsed_corpus
 from lieconserve.expr import (Const, DEFAULT_TABLE, EvaluationError,
-                              ExprSyntaxError, FunctionDef,
+                              ExprError, ExprSyntaxError, FunctionDef,
                               InconclusiveZeroTest, Jet, JetPoint, ONE, Poly,
                               SeedError, U, U_X, UnknownSymbolError, X, ZERO,
                               ZeroTestConfig, build_default_table,
                               diff, evaluate, free_symbols, instantiate,
                               is_zero, normalize, parse, poly_from_expr,
-                              poly_to_expr, resolve_instantiations, to_text)
+                              poly_to_expr, power, resolve_instantiations,
+                              to_text)
 
 
 def test_corpus_is_large_enough():
@@ -107,6 +108,27 @@ def test_syntax_errors_carry_offsets(text, message, position):
     assert message in str(exc.value)
     assert "(offset %d)" % position in str(exc.value)
     assert exc.value.position == position
+
+
+def test_huge_constants_raise_expression_errors():
+    # Python refuses str() of integers past 4300 digits; neither parsing nor
+    # printing may reach that limit with a bare ValueError
+    with pytest.raises(ExprSyntaxError, match="limited to 13000 bits") as exc:
+        parse("u*2^20000")
+    assert exc.value.position == 3
+    with pytest.raises(ExprSyntaxError, match="too long") as exc:
+        parse("u + " + "7" * 5000)
+    assert exc.value.position == 4
+    assert parse("1^1000000000 + (-1)^1000000001") == ZERO     # no size
+    big = parse("2^7000") * parse("2^7000")                     # 14001 bits
+    for e in (big, big * U, 1 / (big * U), U ** big):
+        with pytest.raises(ExprError, match="too large to print"):
+            to_text(e)
+    with pytest.raises(ExprError, match="too large to print"):
+        power(big + U, Fraction(1, 2))       # the atom's text is rendered
+    with pytest.raises(ExprError, match="constant power too large"):
+        (parse("2^7000") * U) ** 2
+    assert to_text(parse("2^12999")) == str(2 ** 12999)     # 13000 bits
 
 
 def test_unknown_function_symbol_is_its_own_error():
