@@ -282,7 +282,8 @@ def cmd_verify(args) -> int:
             verdict = is_zero(res, cfg, spec.table)
             passed = verdict.zero
         all_pass = all_pass and passed
-        entry = {"label": label, "residual": to_text(res), "zero": passed}
+        entry = {"label": label, "residual": to_text(res), "zero": passed,
+                 "method": "structural" if verdict is None else verdict.method}
         if not passed and verdict is not None and verdict.witness is not None:
             entry["witness"] = verdict.witness.describe()
             entry["witness_value"] = fmt(verdict.witness_value)
@@ -371,7 +372,8 @@ def cmd_claw(args) -> int:
                  % ("0 (certified)" if div.passed else to_text(div.residual)))
     report["claw"] = {"C0": to_text(cv.c0), "C1": to_text(cv.c1),
                       "divergence": "zero" if div.passed
-                      else to_text(div.residual)}
+                      else to_text(div.residual),
+                      "method": div.method}
     ok = div.passed
 
     if args.numeric or args.domain is not None or args.times:

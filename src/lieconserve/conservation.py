@@ -136,6 +136,7 @@ class DivergenceReport:
     residual: Expr
     passed: bool
     witness: Optional[object] = None
+    method: str = "structural"         # the zero test's ZeroVerdict.method
 
     def describe(self) -> str:
         if self.passed:
@@ -168,4 +169,5 @@ def divergence_residual(cv: ConservedVector, spec: EvolutionSpec,
         return DivergenceReport(residual, True)
     verdict = is_zero(residual, config, table)
     return DivergenceReport(residual, verdict.zero,
-                            None if verdict.zero else verdict.witness)
+                            None if verdict.zero else verdict.witness,
+                            verdict.method)

@@ -1,16 +1,18 @@
-"""Floating evaluation and randomized identity testing.
+"""Floating evaluation and the zero test.
 
 Opaque function symbols are evaluated through polynomial instantiations;
 primed symbols evaluate as true derivatives of the instantiated polynomial,
 so identities that hold for arbitrary smooth choices can be probed by
 sampling.  ``evaluate`` takes floats or numpy arrays for the symbols.
-``is_zero`` short-circuits on structural zeros and otherwise samples jet
-points from a box that excludes a neighbourhood of zero.
+``is_zero`` answers structural zeros and zero numerators after clearing
+denominators exactly, and otherwise samples jet points, in batches, from a
+box that excludes a neighbourhood of zero.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,8 +22,8 @@ import numpy as np
 
 from .functions import DEFAULT_TABLE, FunctionDef, FunctionTable
 from .tree import (Const, Expr, ExprError, Func, Jet, Param, Pow, ZERO, add,
-                   free_symbols, function_names, mul, normalize, power,
-                   replace_atoms, to_text)
+                   cleared_numerator, free_symbols, function_names, mul,
+                   normalize, power, replace_atoms, to_text)
 
 
 class EvaluationError(ExprError):
@@ -190,79 +192,94 @@ def resolve_instantiations(names: Iterable[str], given: Mapping[str, Poly],
     return out
 
 
-def _instantiation(fdef: FunctionDef, functions: Mapping[str, Poly]) -> Poly:
-    """The polynomial of a symbol: its base's, differentiated per its order."""
-    p = functions.get(fdef.base)
-    if p is None:
-        raise EvaluationError("no instantiation for function symbol %r" % fdef.base)
+def _instantiation(fdef: FunctionDef, functions: Mapping[str, Poly],
+                   table: FunctionTable) -> Poly:
+    """The polynomial of a symbol: its base's (built when the base is
+    derived), differentiated per its order."""
+    p = resolve_instantiations((fdef.base,), functions, table)[fdef.base]
     for i, k in enumerate(fdef.order):
         for _ in range(k):
             p = p.derivative(i)
     return p
 
 
-class _Evaluator:
-    """Evaluates expressions at jet points, tracking the largest subterm."""
+def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
+          table: FunctionTable, functions: Mapping[str, Poly],
+          mask: bool = False):
+    """Evaluate e at one point (float values, Python's float arithmetic) or
+    at a batch (array values, numpy's).
 
-    def __init__(self, table: FunctionTable, functions: Mapping[str, Poly]):
-        self.table = table
-        self.functions = functions
-        self._poly_cache: dict[str, Poly] = {}
+    Returns ``(value, scale, poles)``.  ``scale`` is the largest magnitude
+    of an atom, term or sum met on the way, per point; the zero test
+    compares ``|value|`` with ``tol*(1 + scale)``.  A pole (a zero
+    denominator, or a negative base under a fractional power) raises
+    EvaluationError, unless ``mask`` is set and the values are arrays:
+    then ``poles`` is True at the points that hit one, and those points
+    carry a harmless 1 in place of the bad base from there on.  A constant
+    or power past the float range raises ExprError.
+    """
+    batch = any(isinstance(v, np.ndarray) for v in values.values())
+    peak, power = (np.maximum, np.power) if batch else (max, operator.pow)
+    scale = 0.0
+    poles = False
+    atom_values: dict = {}
+    polys: dict[str, Poly] = {}
 
-    def _poly_for(self, name: str) -> Poly:
-        if name not in self._poly_cache:
-            self._poly_cache[name] = _instantiation(self.table[name], self.functions)
-        return self._poly_cache[name]
+    def pole(where, x, message: str, a):
+        nonlocal poles
+        if not (np.any(where) if batch else where):
+            return x
+        if not (batch and mask):
+            raise EvaluationError(message, a)
+        poles = poles | where
+        return np.where(where, 1.0, x)
 
-    def eval(self, e: Expr, values: Mapping[Expr, float]) -> tuple[float, float]:
-        """Returns (value, max |term or atom value| encountered)."""
-        scale = 0.0
-        atom_values: dict = {}
+    def atom_value(a):
+        if isinstance(a, Func):
+            p = polys.get(a.name)
+            if p is None:
+                p = polys[a.name] = _instantiation(table[a.name], functions, table)
+            return p(*[go(arg) for arg in a.args])
+        if isinstance(a, Pow):
+            b = go(a.base)
+            q = a.exponent
+            if q == -1:
+                return 1.0 / pole(b == 0.0, b, "division by zero", a)
+            if q.denominator == 1:
+                return power(b, q.numerator)
+            b = pole(b < 0.0, b, "negative base with fractional exponent", a)
+            return power(b, float(q))
+        if a not in values:
+            raise EvaluationError("unbound symbol", a)
+        v = values[a]
+        return np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v)
 
-        def atom_value(a) -> float:
-            if isinstance(a, Func):
-                return self._poly_for(a.name)(*[go(arg) for arg in a.args])
-            if isinstance(a, Pow):
-                b = go(a.base)
-                q = a.exponent
-                if q == -1:
-                    if b == 0.0:
-                        raise EvaluationError("division by zero", a)
-                    return 1.0 / b
-                if q.denominator == 1:
-                    return b ** q.numerator
-                if b < 0.0:
-                    raise EvaluationError("negative base with fractional exponent", a)
-                return b ** float(q)
-            if a not in values:
-                raise EvaluationError("unbound symbol", a)
-            return float(values[a])
+    def go(n: Expr):
+        nonlocal scale
+        total = 0.0
+        for mono, c in n.terms.items():
+            val = float(c)
+            for a, k in mono:
+                x = atom_values.get(a)
+                if x is None:
+                    x = atom_values[a] = atom_value(a)
+                    scale = peak(scale, abs(x))
+                if k == 1:
+                    val = val * x
+                else:
+                    if k < 0:
+                        x = pole(x == 0.0, x, "division by zero", a)
+                    val = val * power(x, k)
+            scale = peak(scale, abs(val))
+            total = total + val
+        scale = peak(scale, abs(total))
+        return total
 
-        def go(n: Expr) -> float:
-            nonlocal scale
-            total = 0.0
-            for mono, c in n.terms.items():
-                val = float(c)
-                for a, k in mono:
-                    x = atom_values.get(a)
-                    if x is None:
-                        x = atom_values[a] = atom_value(a)
-                        if abs(x) > scale:
-                            scale = abs(x)
-                    if k == 1:
-                        val *= x
-                    elif x == 0.0 and k < 0:
-                        raise EvaluationError("division by zero", a)
-                    else:
-                        val *= x ** k
-                if abs(val) > scale:
-                    scale = abs(val)
-                total += val
-            if abs(total) > scale:
-                scale = abs(total)
-            return total
-
-        return go(e), scale
+    try:
+        return go(e), scale, poles
+    except OverflowError:
+        raise ExprError("a constant or power is past the floating-point "
+                        "range (about 1.8e308)") from None
 
 
 def evaluate(e: Expr, point: JetPoint,
@@ -273,58 +290,20 @@ def evaluate(e: Expr, point: JetPoint,
     poles, negative bases under fractional powers, unbound symbols or
     uninstantiated functions; in a batch, when any point has one.
 
-    The operation order is ``_Evaluator.eval``'s: ``float(c)``, then the
-    factors multiplied in one by one, then the terms summed.  Powers go
-    through ``np.power`` for floats and arrays alike, so an array element
-    gets the same bits as the float evaluation at that point, unless an
-    opaque function symbol is evaluated through its ``Poly``.
+    The operation order is ``float(c)``, then the factors multiplied in one
+    by one, then the terms summed.  A single point is evaluated as a batch
+    of one, so it gets the same bits as the same point in any batch, unless
+    an opaque function symbol is evaluated through its ``Poly``.
     """
     table = table if table is not None else DEFAULT_TABLE
-    names = {table[n].base for n in function_names(e)}
-    functions = resolve_instantiations(names, point.functions, table) if names else {}
-    poly_for = _Evaluator(table, functions)._poly_for
     values = point.values
-    atom_values: dict = {}
-
-    def atom_value(a):
-        if isinstance(a, Func):
-            return poly_for(a.name)(*[go(arg) for arg in a.args])
-        if isinstance(a, Pow):
-            b = go(a.base)
-            q = a.exponent
-            if q == -1:
-                if np.any(b == 0.0):
-                    raise EvaluationError("division by zero", a)
-                return 1.0 / b
-            if q.denominator == 1:
-                return np.power(b, q.numerator)
-            if np.any(b < 0.0):
-                raise EvaluationError("negative base with fractional exponent", a)
-            return np.power(b, float(q))
-        if a not in values:
-            raise EvaluationError("unbound symbol", a)
-        v = values[a]
-        return np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v)
-
-    def go(n: Expr):
-        total = 0.0
-        for mono, c in n.terms.items():
-            val = float(c)
-            for a, k in mono:
-                x = atom_values.get(a)
-                if x is None:
-                    x = atom_values[a] = atom_value(a)
-                if k == 1:
-                    val = val * x
-                elif k < 0 and np.any(x == 0.0):
-                    raise EvaluationError("division by zero", a)
-                else:
-                    val = val * np.power(x, k)
-            total = total + val
-        return total
-
-    val = go(e)
-    return val if isinstance(val, np.ndarray) else float(val)
+    single = not any(isinstance(v, np.ndarray) for v in values.values())
+    if single:
+        values = {s: np.array([float(v)]) for s, v in values.items()}
+    val = _walk(e, values, table, point.functions)[0]
+    if single or not isinstance(val, np.ndarray):
+        return float(np.ravel(val)[0])
+    return val
 
 
 @dataclass
@@ -352,19 +331,24 @@ class ZeroTestConfig:
 @dataclass
 class ZeroVerdict:
     zero: bool
-    structural: bool = False
+    method: str = "sampled"         # or "structural", "cleared": see is_zero
     witness: Optional[JetPoint] = None
     witness_value: Optional[float] = None
     samples_used: int = 0
     samples_skipped: int = 0
+
+    @property
+    def structural(self) -> bool:
+        return self.method == "structural"
 
     def __bool__(self) -> bool:
         return self.zero
 
     def describe(self) -> str:
         if self.zero:
-            how = "structurally" if self.structural else (
-                "on %d samples" % self.samples_used)
+            how = {"structural": "structurally",
+                   "cleared": "denominators cleared"}.get(
+                       self.method, "on %d samples" % self.samples_used)
             return "zero (%s)" % how
         return "nonzero: %.6g at %s" % (self.witness_value, self.witness.describe())
 
@@ -373,17 +357,24 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
             table: FunctionTable | None = None) -> ZeroVerdict:
     """Decide whether e vanishes identically.
 
-    Structural zeros are reported without sampling.  Otherwise the expression
-    is evaluated at random jet points for every combination of function
-    instantiations; a value exceeding ``tol*(1 + largest subterm)`` yields a
-    nonzero verdict with a witness.  If every sample hits a pole the test
-    raises ``InconclusiveZeroTest``.
+    Structural zeros (``method`` "structural") are reported without
+    sampling.  Next the denominators are cleared (``cleared_numerator``); a
+    numerator that is structurally zero ("cleared") proves e zero exactly
+    wherever every cleared denominator is nonzero, that is, wherever e is
+    defined.  Otherwise ("sampled") e is evaluated at random jet points for
+    every combination of function instantiations: one point first, then the
+    rest of the combination's samples as one batch.  A value exceeding
+    ``tol*(1 + largest subterm)`` yields a nonzero verdict with a witness;
+    ``samples_used`` counts the points evaluated up to and including it.
+    If every sample hits a pole the test raises ``InconclusiveZeroTest``.
     """
     table = table if table is not None else DEFAULT_TABLE
     cfg = config if config is not None else ZeroTestConfig()
     e = normalize(e)
     if e == ZERO:
-        return ZeroVerdict(zero=True, structural=True)
+        return ZeroVerdict(zero=True, method="structural")
+    if cleared_numerator(e) == ZERO:
+        return ZeroVerdict(zero=True, method="cleared")
 
     symbols = sorted(free_symbols(e), key=str)
     base_names = {table[n].base for n in function_names(e)}
@@ -407,21 +398,29 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
     for combo in combos:
         given = dict(zip(independent, combo))
         functions = resolve_instantiations(base_names, given, table)
-        ev = _Evaluator(table, functions)
-        for _ in range(cfg.samples):
-            mags = rng.uniform(lo, hi, size=len(symbols))
-            signs = rng.choice((-1.0, 1.0), size=len(symbols))
-            values = {s: float(m * sg) for s, m, sg in zip(symbols, mags, signs)}
+        # one float point, which settles most nonzero cases, then the rest
+        for size in filter(None, (min(cfg.samples, 1), max(cfg.samples - 1, 0))):
+            points = (rng.uniform(lo, hi, size=(size, len(symbols)))
+                      * rng.choice((-1.0, 1.0), size=(size, len(symbols))))
+            columns = points.T if size > 1 else [float(v) for v in points[0]]
             try:
-                val, scale = ev.eval(e, values)
+                val, scale, poles = _walk(e, dict(zip(symbols, columns)),
+                                          table, functions, mask=True)
             except EvaluationError:
-                skipped += 1
-                continue
-            used += 1
-            if abs(val) > cfg.tolerance * (1.0 + scale):
-                return ZeroVerdict(zero=False, witness=JetPoint(values, functions),
-                                   witness_value=val, samples_used=used,
-                                   samples_skipped=skipped)
+                val, scale, poles = 0.0, 0.0, True
+            defined = ~np.broadcast_to(poles, (size,))
+            over = defined & (np.abs(val) > cfg.tolerance * (1.0 + scale))
+            if over.any():
+                i = int(over.argmax())
+                values = {s: float(v) for s, v in zip(symbols, points[i])}
+                here = int(defined[:i + 1].sum())
+                return ZeroVerdict(
+                    zero=False, witness=JetPoint(values, functions),
+                    witness_value=float(np.broadcast_to(val, (size,))[i]),
+                    samples_used=used + here,
+                    samples_skipped=skipped + i + 1 - here)
+            used += int(defined.sum())
+            skipped += size - int(defined.sum())
     if used == 0:
         raise InconclusiveZeroTest(
             "all %d samples hit poles while testing %s" % (skipped, e))
@@ -433,12 +432,10 @@ def instantiate(e: Expr, functions: Mapping[str, Poly],
     """Replace opaque function applications by their polynomial
     instantiations, symbolically; derived symbols are built on the fly."""
     table = table if table is not None else DEFAULT_TABLE
-    names = {table[n].base for n in function_names(e)}
-    resolved = resolve_instantiations(names, functions, table) if names else {}
 
     def replace(a) -> Optional[Expr]:
         if isinstance(a, Func):
-            return poly_to_expr(_instantiation(table[a.name], resolved),
+            return poly_to_expr(_instantiation(table[a.name], functions, table),
                                 [go(arg) for arg in a.args])
         if isinstance(a, Pow):
             base = go(a.base)

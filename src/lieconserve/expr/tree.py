@@ -30,6 +30,11 @@ MAX_JET_ORDER = 3
 # the power of a sum is one opaque atom.
 _EXPAND_POW_CAP = 8
 
+# Clearing denominators multiplies sums out; when a product could pass this
+# many terms ``cleared_numerator`` gives up, and the zero test samples
+# instead.  The cap bounds the work of each clearing round.
+_CLEAR_TERM_CAP = 1000
+
 # Exact constants stay printable: Python refuses str() of an integer past
 # 4300 digits, so printing refuses any numerator, denominator or exponent
 # past this many bits, and constant powers that would pass it raise.
@@ -409,6 +414,64 @@ def power(base, exponent) -> Expr:
 def normalize(e) -> Expr:
     """Every expression is built normalized; this only accepts numbers too."""
     return as_expr(e)
+
+
+class _PastCap(Exception):
+    """Clearing denominators would pass ``_CLEAR_TERM_CAP`` terms."""
+
+
+def _capped_mul(p: dict, q: dict) -> dict:
+    if len(p) * len(q) > _CLEAR_TERM_CAP:
+        raise _PastCap
+    return _mul_terms(p, q)
+
+
+def cleared_numerator(e: Expr) -> Optional[Expr]:
+    """e times its denominators, or None once a product that this takes
+    could pass ``_CLEAR_TERM_CAP`` terms.
+
+    With ``K`` the largest exponent of a reciprocal atom ``1/s`` in e, each
+    monomial's ``(1/s)^k`` is replaced by ``s^(K - k)``: the result is e
+    times the product of the ``s^K``.  Reciprocals inside a cleared s come
+    in with it and are cleared in the next round.  So wherever every cleared
+    s is nonzero, which is wherever e is defined, the result vanishes
+    exactly where e does.
+    """
+    terms = as_expr(e).terms
+    try:
+        while True:
+            top: dict = {}
+            for mono in terms:
+                for a, k in mono:
+                    if isinstance(a, Pow) and a.exponent == -1 and k > top.get(a, 0):
+                        top[a] = k
+            if not top:
+                return from_terms(terms)
+            powers = {a: [ONE.terms] for a in top}     # s^0, s^1, ...
+            factors: dict = {}        # missing exponents -> product of powers
+            emitted = 0
+            out: dict = {}
+            for mono, c in terms.items():
+                have = dict(mono)
+                missing = tuple(K - have.get(a, 0) for a, K in top.items())
+                factor = factors.get(missing)
+                if factor is None:
+                    factor = ONE.terms
+                    for a, j in zip(top, missing):
+                        ps = powers[a]
+                        while len(ps) <= j:
+                            ps.append(_capped_mul(ps[-1], a.base.terms))
+                        factor = _capped_mul(factor, ps[j])
+                    factors[missing] = factor
+                emitted += len(factor)
+                if emitted > _CLEAR_TERM_CAP:
+                    raise _PastCap
+                kept = tuple((a, k) for a, k in mono if a not in top)
+                for m, v in factor.items():
+                    _accumulate(out, _mono_mul(kept, m), c * v)
+            terms = out
+    except _PastCap:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,23 @@ def test_json_format_prints_the_report_to_stdout(capsys):
     report = json.loads(out)
     assert set(report) >= {"verdict", "phi", "residuals", "claw", "numeric"}
     assert report["claw"]["divergence"] == "zero"
+    assert report["claw"]["method"] == "structural"
+
+
+def test_json_residuals_say_how_each_zero_was_reached(capsys):
+    # R2 is -1/(1 + u)^2 + 1/(1 + u) - u/(1 + u)^2, zero once cleared
+    code, out, _ = run(capsys, "verify", "--alpha", "1/(1 + u)", "--beta", "0",
+                       "--tau", "t", "--xi", "0", "--eta", "1 + u",
+                       "--format", "json")
+    assert code == 0
+    methods = {e["label"]: (e["method"], e["zero"])
+               for e in json.loads(out)["residuals"]}
+    assert methods == {"R1": ("structural", True), "R2": ("cleared", True)}
+    code, out, _ = run(capsys, "verify", "--builtin", "burgers", "--eta", "u",
+                       "--format", "json")
+    assert code == 2
+    r2 = json.loads(out)["residuals"][1]
+    assert (r2["method"], r2["zero"]) == ("sampled", False)
 
 
 def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
@@ -239,6 +256,17 @@ def test_huge_constants_exit_one_with_a_message(capsys):
                        "--beta", "0", "--tau", "1")
     assert code == 1
     assert "error: constant too large to print" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--alpha", "u*2^2000", "--beta", "u^2*2^2000"),
+    ("verify", "--alpha", "u*2^2000", "--beta", "0", "--eta", "u*2^1100"),
+])
+def test_constants_past_the_float_range_exit_one_with_a_message(capsys, argv):
+    # they parse, but the zero test cannot sample them as floats
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "error: a constant or power is past the floating-point range" in err
 
 
 def test_malformed_seed_variable_is_a_configuration_error(capsys, monkeypatch):

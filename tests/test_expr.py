@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import CORPUS, STANDARD_POLYS, bound_point, parsed_corpus
@@ -12,11 +13,13 @@ from lieconserve.expr import (Const, DEFAULT_TABLE, EvaluationError,
                               ExprError, ExprSyntaxError, FunctionDef,
                               InconclusiveZeroTest, Jet, JetPoint, ONE, Poly,
                               SeedError, U, U_X, UnknownSymbolError, X, ZERO,
-                              ZeroTestConfig, build_default_table,
-                              diff, evaluate, free_symbols, instantiate,
-                              is_zero, normalize, parse, poly_from_expr,
-                              poly_to_expr, power, resolve_instantiations,
-                              to_text)
+                              ZeroTestConfig, build_default_table, diff,
+                              evaluate, free_symbols, function_names,
+                              instantiate, is_zero, normalize, parse,
+                              poly_from_expr, poly_to_expr, power,
+                              resolve_instantiations, to_text)
+from lieconserve.expr.evaluate import _walk
+from lieconserve.expr.tree import cleared_numerator
 
 
 def test_corpus_is_large_enough():
@@ -203,11 +206,90 @@ def test_is_zero_reports_structural_zeros_without_sampling():
     assert verdict.zero and verdict.structural
 
 
-def test_is_zero_accepts_nonstructural_identities_by_sampling():
+def test_is_zero_clears_denominators_of_quotient_identities():
     # quotients over a common denominator are not combined by normalization
     verdict = is_zero(parse("1/(1 + u) + u/(1 + u) - 1"))
-    assert verdict.zero and not verdict.structural
-    assert verdict.samples_used > 0
+    assert verdict.zero and verdict.method == "cleared"
+    assert not verdict.structural and verdict.samples_used == 0
+    assert verdict.describe() == "zero (denominators cleared)"
+
+
+def test_clearing_gives_up_past_its_term_cap_and_sampling_decides():
+    # ten denominators in ten symbols: each cleared monomial takes a product
+    # of nine of them, 512 terms, so the numerator would pass 1000 terms
+    symbols = ("t", "x", "u", "u_x", "u_t", "u_xx", "u_xt", "u_tt", "v", "v_x")
+    e = parse(" + ".join("1/(1 + %s) + %s/(1 + %s)" % (s, s, s)
+                         for s in symbols) + " - 10")
+    assert cleared_numerator(e) is None
+    verdict = is_zero(e)
+    assert verdict.zero and verdict.method == "sampled"
+    assert verdict.samples_used == 200
+
+
+def test_is_zero_samples_identities_that_clearing_cannot_see():
+    # u^(1/2) is an opaque atom, so only sampling finds the identity; the
+    # points with u < 0 are outside the domain and skipped
+    verdict = is_zero(parse("u^(1/2)*u^(1/2) - u"))
+    assert verdict.zero and verdict.method == "sampled"
+    assert verdict.samples_used > 0 and verdict.samples_skipped > 0
+    assert verdict.samples_used + verdict.samples_skipped == 200
+
+
+def test_a_combo_whose_denominator_vanishes_is_skipped_whole():
+    # with a := w the denominator -2*a'(u) + 2 is identically zero
+    e = parse("((3*a(u) + 2)*(-2*a'(u) + 2) + u)/(-2*a'(u) + 2) - (3*a(u) + 2)")
+    verdict = is_zero(e)
+    assert not verdict.zero and verdict.method == "sampled"
+    assert "a:=w," not in verdict.witness.describe() + ","
+    assert verdict.samples_skipped == 200
+    assert evaluate(e, verdict.witness) == pytest.approx(verdict.witness_value)
+
+
+def per_point_verdict(e, seed: int):
+    """The zero test's sampling as a loop over single points, with the same
+    draws: the reference for the batched test.  Opaque functions: a only."""
+    cfg = ZeroTestConfig(seed=seed)
+    symbols = sorted(free_symbols(e), key=str)
+    rng = np.random.default_rng(seed)
+    used = skipped = 0
+    for poly in cfg.default_set if function_names(e) else [None]:
+        functions = ({} if poly is None
+                     else resolve_instantiations({"a"}, {"a": poly}, DEFAULT_TABLE))
+        for size in (1, cfg.samples - 1):
+            shape = (size, len(symbols))
+            points = rng.uniform(*cfg.box, size=shape) * rng.choice((-1.0, 1.0), size=shape)
+            for row in points:
+                values = dict(zip(symbols, map(float, row)))
+                try:
+                    val, scale, _ = _walk(e, values, DEFAULT_TABLE, functions)
+                except EvaluationError:
+                    skipped += 1
+                    continue
+                used += 1
+                if abs(val) > cfg.tolerance * (1.0 + scale):
+                    return values, val, used, skipped
+    return None, None, used, skipped
+
+
+@pytest.mark.parametrize("text", [
+    # tiny against the cancelling x^10 terms wherever |x| is large, so the
+    # threshold of each point matters
+    "t^6*u^(1/2)/10^8 + x^10*(1/(1 + u) + u/(1 + u) - 1)",
+    "((3*a(u) + 2)*(-2*a'(u) + 2) + u)/(-2*a'(u) + 2) - (3*a(u) + 2)",
+    "u^(1/2)*u^(1/2) - u",
+    "(u*x)^(1/2) - u^(1/2)*x^(1/2)",
+    "a'(u)*u^(1/2) - a(u)",
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_sampling_matches_a_per_point_loop(text, seed):
+    e = parse(text)
+    values, value, used, skipped = per_point_verdict(e, seed)
+    verdict = is_zero(e, ZeroTestConfig(seed=seed))
+    assert verdict.zero == (values is None)
+    assert (verdict.samples_used, verdict.samples_skipped) == (used, skipped)
+    if values is not None:
+        assert verdict.witness.values == values
+        assert verdict.witness_value == pytest.approx(value, rel=1e-12)
 
 
 def test_is_zero_produces_a_witness_for_nonzero_expressions():
@@ -237,6 +319,16 @@ def test_a_malformed_seed_variable_is_rejected(monkeypatch):
     with pytest.raises(SeedError, match="LIECONSERVE_SEED.*'abc'"):
         is_zero(parse("a'(u)*u"))
     assert not is_zero(parse("a'(u)*u"), ZeroTestConfig(seed=7)).zero
+
+
+def test_a_constant_past_the_float_range_is_an_error_not_a_pole():
+    for point in (JetPoint({U: 1.0}), JetPoint({U: np.ones(3)})):
+        with pytest.raises(ExprError, match="floating-point range") as exc:
+            evaluate(parse("u*2^2000"), point)
+        assert not isinstance(exc.value, EvaluationError)
+    with pytest.raises(ExprError, match="floating-point range") as exc:
+        is_zero(parse("u*2^2000 + 1"))
+    assert not isinstance(exc.value, EvaluationError)
 
 
 def test_is_zero_raises_when_every_sample_hits_a_pole():

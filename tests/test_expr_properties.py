@@ -3,7 +3,9 @@
 Random expression trees are printed fully parenthesized, parsed (which
 normalizes them) and compared with a float evaluation of the tree itself,
 with their own printed form, with central differences, and, for
-polynomials, with sympy's expansion.
+polynomials, with sympy's expansion.  The zero test's exact step, clearing
+denominators, is checked on planted quotient identities and against
+sympy's ``cancel``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import STANDARD_POLYS
-from lieconserve.expr import (DEFAULT_TABLE, ExprError, JetPoint, ZERO, diff,
-                              evaluate, parse, poly_from_expr,
-                              resolve_instantiations, to_text)
+from lieconserve.expr import (DEFAULT_TABLE, ExprError, ExprSyntaxError,
+                              JetPoint, ZERO, diff, evaluate, is_zero, parse,
+                              poly_from_expr, resolve_instantiations, to_text)
+from lieconserve.expr.tree import cleared_numerator
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60,
@@ -189,3 +192,111 @@ def test_polynomial_normal_form_matches_sympy_expand(tree):
     theirs = {k: Fraction(int(c.p), int(c.q))
               for k, c in sympy.Poly(expanded, t, x, u).as_dict().items() if c != 0}
     assert ours == theirs, source
+
+
+# ---------------------------------------------------------------------------
+# the zero test's exact step: clearing denominators
+
+POLY_ATOMS = ("t", "x", "u", "a(u)")
+
+
+def polynomials(min_terms=1):
+    """Polynomial text over t, x, u and a(u): small integer coefficients,
+    exponents up to 2 per atom."""
+    term = st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                     st.tuples(*[st.integers(0, 2) for _ in POLY_ATOMS]))
+    return st.lists(term, min_size=min_terms, max_size=4).map(
+        lambda terms: " + ".join(
+            "(%d)" % c + "".join("*%s^%d" % (a, k)
+                                 for a, k in zip(POLY_ATOMS, ks) if k)
+            for c, ks in terms))
+
+
+def _is_sum(source: str) -> bool:
+    return len(parse(source).terms) >= 2
+
+
+@SETTINGS
+@given(polynomials(), polynomials(min_terms=2))
+def test_planted_quotient_identities_are_cleared(p, q):
+    assume(parse(p) != ZERO and _is_sum(q))
+    verdict = is_zero(parse("(%s)*(%s)/(%s) - (%s)" % (p, q, q, p)))
+    assert verdict.zero and verdict.method == "cleared", (p, q)
+    assert verdict.samples_used == 0
+
+
+@SETTINGS
+@given(polynomials(), polynomials(min_terms=2), polynomials())
+def test_a_perturbed_quotient_is_never_zero(p, q, r):
+    # (P*Q + R)/Q - P is R/Q
+    assume(parse(r) != ZERO and _is_sum(q))
+    e = parse("((%s)*(%s) + (%s))/(%s) - (%s)" % (p, q, r, q, p))
+    assert cleared_numerator(e) != ZERO, (p, q, r)
+    verdict = is_zero(e)
+    assert not verdict.zero and verdict.witness is not None, (p, q, r)
+
+
+@SETTINGS
+@given(polynomials(), polynomials(min_terms=2), polynomials(),
+       polynomials(min_terms=2), st.booleans())
+def test_sums_of_quotients_are_cleared_exactly_when_zero(p1, q1, p2, q2, planted):
+    # monomials carry different sets of reciprocals here, each missing its
+    # own product of denominators
+    assume(_is_sum(q1) and _is_sum(q2))
+    rest = ("((%s)*(%s) + (%s)*(%s))/((%s)*(%s))" % (p1, q2, p2, q1, q1, q2)
+            if planted else "((%s) + (%s))/(%s)" % (p1, p2, q1))
+    source = "(%s)/(%s) + (%s)/(%s) - %s" % (p1, q1, p2, q2, rest)
+    e = parse(source)
+    if planted:
+        assert is_zero(e).method in ("structural", "cleared"), source
+    if cleared_numerator(e) == ZERO:
+        assert _sympy_says_zero(source), source
+
+
+RATIONAL_EXPONENTS = tuple(Fraction(k) for k in (-2, -1, 2, 3))
+
+
+def _rational_ops(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(("+", "-", "*", "/")), children, children),
+        st.tuples(st.just("^"), children, st.sampled_from(RATIONAL_EXPONENTS)),
+        st.tuples(st.just("neg"), children),
+    )
+
+
+def rational_trees():
+    return trees(symbols=("t", "x", "u", "a(u)"), leaves=6, extend=_rational_ops)
+
+
+def _sympy_says_zero(source: str) -> bool:
+    sympy = pytest.importorskip("sympy")
+    expr = sympy.sympify(source.replace("^", "**"))
+    if expr.has(sympy.zoo, sympy.nan):
+        assume(False)            # undefined everywhere: nothing to check
+    return sympy.cancel(sympy.together(expr)) == 0
+
+
+@SETTINGS
+@given(rational_trees(), rational_trees(), rational_trees(), st.booleans())
+def test_every_cleared_verdict_is_a_rational_identity(body, factor, extra, planted):
+    product = ("*", body, factor)
+    top = product if planted else ("+", product, extra)
+    source = text(("-", body, ("/", top, factor)))
+    try:
+        e = parse(source)
+    except (ExprError, ExprSyntaxError):      # a division by an exact zero
+        assume(False)
+    if cleared_numerator(e) == ZERO:
+        assert _sympy_says_zero(source), source
+
+
+@pytest.mark.parametrize("source", [
+    "1/(1 + 1/(1 + u)) - (1 + u)/(2 + u)",
+    "1/(1 + u) + u/(1 + u) - 1",
+    "t/(x*(1 + u)) + 1/(1 + u) - (t + x)/(x + x*u)",
+    "a(u)/(1 + a(u)) + 1/(1 + a(u)) - 1",
+])
+def test_cleared_identities_agree_with_sympy(source):
+    verdict = is_zero(parse(source))
+    assert verdict.zero and verdict.method == "cleared", source
+    assert _sympy_says_zero(source), source
