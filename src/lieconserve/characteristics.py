@@ -1,12 +1,15 @@
 """Exact pre-shock solutions of u_t + a(u)u_x = 0 and law verification.
 
 Along a characteristic the solution is constant: u(x, t) = u0(xi) where
-xi + a(u0(xi))*t = x.  The map is invertible up to the shock time
-t* = -1/min (a o u0)'; everything here stays strictly before t*.
-Conserved integrals Q(t) = integral of C0 dx are computed by composite
-Simpson quadrature on characteristic samples, and laws are verified
-either through Q-constancy (periodic, x,t-free flux) or through the flux
-balance dQ/dt + C1(x_hi) - C1(x_lo) = 0.
+xi + a(u0(xi))*t = x (Whitham, Linear and Nonlinear Waves, 1974, ch. 2).
+The map is invertible up to the shock time t* = -1/min (a o u0)';
+everything here stays strictly before t*.  Conserved integrals
+Q(t) = integral of C0 dx are computed by composite Simpson quadrature in
+the foot variable xi, where dx = (1 + t*a'(u0)*u0') dxi and the integrand
+is as smooth as the initial profile however steep the solution is in x;
+only the ends of the domain are inverted.  Laws are verified either
+through Q-constancy (periodic, x,t-free flux) or through the flux balance
+dQ/dt + C1(x_hi) - C1(x_lo) = 0.
 """
 
 from __future__ import annotations
@@ -104,19 +107,18 @@ BUILTIN_PROFILES = {
 }
 
 
-def shock_time(a: Poly, u0: InitialProfile,
-               domain: tuple[float, float]) -> float:
-    """First crossing time t* = -1/min (a o u0)'; +inf when the slope
-    never decreases.  Dense grid minimum, sharpened by zooming: each pass
-    samples a small grid over the bracket around the current minimum."""
+def _shock_scan(a: Poly, u0: InitialProfile,
+                domain: tuple[float, float]) -> tuple[float, np.ndarray]:
+    """(t*, u0 on the dense grid): the grid values serve the caller too."""
     lo, hi = float(domain[0]), float(domain[1])
     da = a.derivative()
 
-    def slope(xi):
-        return np.asarray(da(u0(xi)) * u0.derivative(xi), dtype=float)
+    def slope(xi, u):
+        return np.asarray(da(u) * u0.derivative(xi), dtype=float)
 
     xs = np.linspace(lo, hi, _SHOCK_GRID)
-    vals = slope(xs)
+    grid_u = u0(xs)
+    vals = slope(xs, grid_u)
     if not np.all(np.isfinite(vals)):
         raise CharacteristicsError("characteristic slope is not finite on the domain")
     i = int(np.argmin(vals))
@@ -124,12 +126,18 @@ def shock_time(a: Poly, u0: InitialProfile,
     for _ in range(_ZOOM_PASSES):
         xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)],
                          _ZOOM_POINTS)
-        vals = slope(xs)
+        vals = slope(xs, u0(xs))
         i = int(np.argmin(vals))
         m = min(m, float(vals[i]))
-    if m >= 0.0:
-        return math.inf
-    return -1.0 / m
+    return (math.inf if m >= 0.0 else -1.0 / m), grid_u
+
+
+def shock_time(a: Poly, u0: InitialProfile,
+               domain: tuple[float, float]) -> float:
+    """First crossing time t* = -1/min (a o u0)'; +inf when the slope
+    never decreases.  Dense grid minimum, sharpened by zooming: each pass
+    samples a small grid over the bracket around the current minimum."""
+    return _shock_scan(a, u0, domain)[0]
 
 
 @dataclass
@@ -150,9 +158,8 @@ class CharacteristicSolution:
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("domain bounds must be finite with x_lo < x_hi")
-        self.shock_time = shock_time(self.a, self.u0, self.domain)
-        xs = np.linspace(lo, hi, _SHOCK_GRID)
-        speeds = np.asarray(self.a(self.u0(xs)), dtype=float)
+        self.shock_time, grid_u = _shock_scan(self.a, self.u0, self.domain)
+        speeds = np.asarray(self.a(grid_u), dtype=float)
         pad = 0.05 * (speeds.max() - speeds.min()) + 1e-6
         self._c_lo = float(speeds.min()) - pad
         self._c_hi = float(speeds.max()) + pad
@@ -256,20 +263,36 @@ def conserved_integral(sol: CharacteristicSolution, density, t: float,
                        nodes: int = 1024,
                        table: FunctionTable = DEFAULT_TABLE) -> float:
     """Composite Simpson integral of the density over the domain at fixed
-    t.  The density is an Expr over (t, x, u, u_x) or a callable of the
-    same four arguments, called once with t a float and x, u, u_x arrays
-    over all nodes; it returns an array of their shape (or a constant).
-    nodes counts subintervals: even, at least 64 and at most MAX_NODES."""
+    t, taken in the characteristic foot variable xi.
+
+    With x = xi + a(u0(xi))*t and J = 1 + t*a'(u0)*u0' (at least
+    1 - PRE_SHOCK_FRACTION before the horizon),
+    Q(t) = integral of C0(t, x, u0, u0'/J) * J dxi over [xi(lo), xi(hi)],
+    or [xi(lo), xi(lo) + L] on a periodic domain of length L.  Only those
+    endpoints are inverted, and the integrand is as smooth in xi as the
+    initial profile up to the shock.  The density is an Expr over
+    (t, x, u, u_x) or a callable of the same four, called once with t a
+    float and x, u, u_x arrays over all nodes (x is not uniform for
+    t > 0); it returns an array of their shape (or a constant).  nodes
+    counts subintervals: even, at least 64 and at most MAX_NODES."""
     if nodes < 64 or nodes % 2:
         raise ValueError("nodes must be even and at least 64")
     if nodes > MAX_NODES:
         raise ValueError("nodes must be at most %d, got %d" % (MAX_NODES, nodes))
     fn = _array_density(density, table) if isinstance(density, Expr) else density
+    sol._check_time(t)
     lo, hi = sol.domain
-    xs = np.linspace(lo, hi, nodes + 1)
-    u, ux = sol.solve_many(xs, t)
-    ys = np.broadcast_to(np.asarray(fn(t, xs, u, ux), dtype=float), xs.shape)
-    h = (hi - lo) / nodes
+    periodic = sol.boundary == "periodic"
+    feet = sol._feet(np.asarray([lo] if periodic else [lo, hi], dtype=float), t)[0]
+    start = float(feet[0])
+    end = start + (hi - lo) if periodic else float(feet[1])
+    xi = np.linspace(start, end, nodes + 1)
+    u, du = sol.u0(xi), sol.u0.derivative(xi)
+    jac = 1.0 + t * sol._da(u) * du
+    x = xi + sol.a(u) * t
+    ys = np.broadcast_to(np.asarray(fn(t, x, u, du / jac), dtype=float),
+                         xi.shape) * jac
+    h = (end - start) / nodes
     return float(h / 3.0 * np.sum(ys[:-1:2] + 4.0 * ys[1::2] + ys[2::2]))
 
 
@@ -338,15 +361,15 @@ def verify_law(sol: CharacteristicSolution, c0: Expr, c1: Expr,
             raise CharacteristicsError(
                 "flux balance needs interior times; %g is within %g of the "
                 "pre-shock horizon %g" % (t, _FLUX_STEP, horizon))
-    lo, hi = sol.domain
+    ends = np.asarray(sol.domain, dtype=float)
     worst = 0.0
     qs = []
     for t in times:
         qs.append(q_at(t))
         dq = (q_at(t + _FLUX_STEP) - q_at(t - _FLUX_STEP)) / (2.0 * _FLUX_STEP)
-        u_hi, ux_hi = sol.solve_at(hi, t)
-        u_lo, ux_lo = sol.solve_at(lo, t)
-        balance = dq + c1_fn(t, hi, u_hi, ux_hi) - c1_fn(t, lo, u_lo, ux_lo)
+        u, ux = sol.solve_many(ends, t)
+        flux = np.broadcast_to(np.asarray(c1_fn(t, ends, u, ux), dtype=float), (2,))
+        balance = dq + flux[1] - flux[0]
         worst = max(worst, abs(balance))
     passed = worst <= tol
     return ConservationReport("flux-balance", times, tuple(qs),

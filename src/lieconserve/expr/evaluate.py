@@ -12,7 +12,7 @@ box that excludes a neighbourhood of zero.
 from __future__ import annotations
 
 import itertools
-import operator
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -203,6 +203,15 @@ def _instantiation(fdef: FunctionDef, functions: Mapping[str, Poly],
     return p
 
 
+def _float_pow(x: float, k) -> float:
+    """x**k in Python floats, but +-inf past the float range, as numpy's
+    power gives, instead of OverflowError."""
+    try:
+        return x ** k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
+
+
 def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
           table: FunctionTable, functions: Mapping[str, Poly],
           mask: bool = False):
@@ -216,10 +225,11 @@ def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
     EvaluationError, unless ``mask`` is set and the values are arrays:
     then ``poles`` is True at the points that hit one, and those points
     carry a harmless 1 in place of the bad base from there on.  A constant
-    or power past the float range raises ExprError.
+    past the float range raises ExprError; a value that overflows becomes
+    inf or nan.
     """
     batch = any(isinstance(v, np.ndarray) for v in values.values())
-    peak, power = (np.maximum, np.power) if batch else (max, operator.pow)
+    peak, power = (np.maximum, np.power) if batch else (max, _float_pow)
     scale = 0.0
     poles = False
     atom_values: dict = {}
@@ -366,7 +376,9 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
     rest of the combination's samples as one batch.  A value exceeding
     ``tol*(1 + largest subterm)`` yields a nonzero verdict with a witness;
     ``samples_used`` counts the points evaluated up to and including it.
-    If every sample hits a pole the test raises ``InconclusiveZeroTest``.
+    A point that hits a pole, or whose value overflows to inf or nan, is
+    skipped (``samples_skipped``); if every sample is skipped the test
+    raises ``InconclusiveZeroTest``.
     """
     table = table if table is not None else DEFAULT_TABLE
     cfg = config if config is not None else ZeroTestConfig()
@@ -395,35 +407,37 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
     used = skipped = 0
 
     combos = list(itertools.product(*choice_lists)) if independent else [()]
-    for combo in combos:
-        given = dict(zip(independent, combo))
-        functions = resolve_instantiations(base_names, given, table)
-        # one float point, which settles most nonzero cases, then the rest
-        for size in filter(None, (min(cfg.samples, 1), max(cfg.samples - 1, 0))):
-            points = (rng.uniform(lo, hi, size=(size, len(symbols)))
-                      * rng.choice((-1.0, 1.0), size=(size, len(symbols))))
-            columns = points.T if size > 1 else [float(v) for v in points[0]]
-            try:
-                val, scale, poles = _walk(e, dict(zip(symbols, columns)),
-                                          table, functions, mask=True)
-            except EvaluationError:
-                val, scale, poles = 0.0, 0.0, True
-            defined = ~np.broadcast_to(poles, (size,))
-            over = defined & (np.abs(val) > cfg.tolerance * (1.0 + scale))
-            if over.any():
-                i = int(over.argmax())
-                values = {s: float(v) for s, v in zip(symbols, points[i])}
-                here = int(defined[:i + 1].sum())
-                return ZeroVerdict(
-                    zero=False, witness=JetPoint(values, functions),
-                    witness_value=float(np.broadcast_to(val, (size,))[i]),
-                    samples_used=used + here,
-                    samples_skipped=skipped + i + 1 - here)
-            used += int(defined.sum())
-            skipped += size - int(defined.sum())
+    # an overflow is skipped below, like a pole, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for combo in combos:
+            given = dict(zip(independent, combo))
+            functions = resolve_instantiations(base_names, given, table)
+            # one float point, which settles most nonzero cases, then the rest
+            for size in filter(None, (min(cfg.samples, 1), max(cfg.samples - 1, 0))):
+                points = (rng.uniform(lo, hi, size=(size, len(symbols)))
+                          * rng.choice((-1.0, 1.0), size=(size, len(symbols))))
+                columns = points.T if size > 1 else [float(v) for v in points[0]]
+                try:
+                    val, scale, poles = _walk(e, dict(zip(symbols, columns)),
+                                              table, functions, mask=True)
+                except EvaluationError:
+                    val, scale, poles = 0.0, 0.0, True
+                defined = ~np.broadcast_to(poles | ~np.isfinite(val), (size,))
+                over = defined & (np.abs(val) > cfg.tolerance * (1.0 + scale))
+                if over.any():
+                    i = int(over.argmax())
+                    values = {s: float(v) for s, v in zip(symbols, points[i])}
+                    here = int(defined[:i + 1].sum())
+                    return ZeroVerdict(
+                        zero=False, witness=JetPoint(values, functions),
+                        witness_value=float(np.broadcast_to(val, (size,))[i]),
+                        samples_used=used + here,
+                        samples_skipped=skipped + i + 1 - here)
+                used += int(defined.sum())
+                skipped += size - int(defined.sum())
     if used == 0:
         raise InconclusiveZeroTest(
-            "all %d samples hit poles while testing %s" % (skipped, e))
+            "all %d samples hit poles or overflowed while testing %s" % (skipped, e))
     return ZeroVerdict(zero=True, samples_used=used, samples_skipped=skipped)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lieconserve.characteristics import (CharacteristicSolution,
-                                         CharacteristicsError,
+                                         CharacteristicsError, InitialProfile,
                                          conserved_integral,
                                          gaussian_profile,
                                          polynomial_profile, shock_time,
@@ -269,12 +269,20 @@ def test_callable_densities_receive_whole_arrays():
     seen = []
 
     def energy(t, x, u, ux):
-        seen.append(np.shape(u))
+        seen.append((x, np.shape(u)))
         return u ** 2 / 2
 
     q = conserved_integral(sol, energy, 0.5, nodes=2048)
     assert q == pytest.approx(math.pi / 2, rel=1e-9)
-    assert seen == [(2049,)]
+    assert [shape for _, shape in seen] == [(2049,)]
+    # x is the image of a uniform foot grid: it spans the periodic domain,
+    # and its nodes crowd where the characteristics converge
+    x = seen[0][0]
+    assert x.shape == (2049,)
+    assert x[0] == 0.0 and x[-1] == pytest.approx(TWO_PI, abs=1e-14)
+    spacing = np.diff(x)
+    assert np.all(spacing > 0.0)
+    assert spacing.max() > 2.5 * spacing.min()      # J from 0.5 to 1.5
     # a constant callable is spread over the nodes
     one = conserved_integral(sol, lambda t, x, u, ux: 1.0, 0.5, nodes=64)
     assert one == pytest.approx(TWO_PI, rel=1e-14)
@@ -287,8 +295,82 @@ def test_conserved_integral_refuses_node_counts_past_the_limit(monkeypatch):
         raise AssertionError("solved before the node count was checked")
 
     monkeypatch.setattr(sol, "solve_many", no_solve)
+    monkeypatch.setattr(sol, "_feet", no_solve)
     with pytest.raises(ValueError, match="at most 1048576"):
         conserved_integral(sol, parse("u"), 0.1, nodes=2 ** 20 + 2)
+
+
+def test_conserved_integral_checks_the_time_itself():
+    sol = sine_solution()
+    with pytest.raises(CharacteristicsError, match="horizon"):
+        conserved_integral(sol, parse("u"), 0.96)
+    with pytest.raises(CharacteristicsError, match="negative"):
+        conserved_integral(sol, parse("u"), -0.1)
+
+
+@pytest.mark.parametrize("speed", ["u", "u + u^3/3"])
+@pytest.mark.parametrize("nodes", [1024, 2048, 4096])
+def test_sine_energy_is_half_pi_to_rounding_up_to_the_horizon(speed, nodes):
+    # on the foot grid the integrand is a smooth periodic function of xi,
+    # so Simpson is exact to rounding however steep the profile in x
+    a = poly_from_expr(parse(speed))
+    sol = CharacteristicSolution(a, sine_profile(), (0.0, TWO_PI))
+    times = [f * sol.shock_time for f in (0.2, 0.5, 0.8)] + [sol.horizon()]
+    report = verify_law(sol, parse("u^2/2"), instantiate(parse("A(u)"), {"a": a}),
+                        times, nodes=nodes)
+    assert report.mode == "q-drift" and report.passed
+    for q in report.q_values + (report.q_reference,):
+        assert abs(q - math.pi / 2) <= 1e-13
+
+
+def test_flux_balance_holds_next_to_the_horizon_on_gaussian_data():
+    # l1 at a = u on exp(-x^2), t = 0.949 t*: the x grid under-resolved the
+    # steepened profile and failed this true law at 512 and 2048 nodes
+    sol = CharacteristicSolution(IDENT, gaussian_profile(), (-6.0, 6.0),
+                                 boundary="compact")
+    report = verify_law(sol, parse("u^2/2"), parse("u^3/3"),
+                        (1.10636506927,), nodes=512, tol=1e-5)
+    assert report.mode == "flux-balance"
+    assert report.passed
+    assert report.deviation <= 1e-10
+    # u^2/2 is conserved: Q equals its t = 0 value sqrt(pi/2)/2
+    assert report.q_values[0] == pytest.approx(math.sqrt(math.pi / 2) / 2,
+                                               abs=1e-14)
+
+
+def test_flux_balance_solves_both_boundaries_in_one_call(monkeypatch):
+    u0 = spline_bump_profile(0.5, 0.0, 0.375)
+    sol = CharacteristicSolution(IDENT, u0, (-1.2, 1.2), boundary="compact")
+    solved = []
+    solve_many = sol.solve_many
+
+    def record(xs, t):
+        solved.append(list(xs))
+        return solve_many(xs, t)
+
+    def no_single(*args):
+        raise AssertionError("a boundary was solved on its own")
+
+    monkeypatch.setattr(sol, "solve_many", record)
+    monkeypatch.setattr(sol, "solve_at", no_single)
+    report = verify_law(sol, parse("x*u - t*u^2/2"), parse("x*u^2/2 - t*u^3/3"),
+                        (0.2, 0.4), nodes=256, tol=1e-5)
+    assert report.passed
+    assert solved == [[-1.2, 1.2], [-1.2, 1.2]]
+
+
+def test_the_shock_grid_is_evaluated_once_per_solution():
+    sizes = []
+    sine = sine_profile()
+
+    def f(xi):
+        sizes.append(np.size(xi))
+        return sine(xi)
+
+    u0 = InitialProfile(f, sine.derivative, "sine")
+    sol = CharacteristicSolution(IDENT, u0, (0.0, TWO_PI))
+    assert sizes.count(4096) == 1
+    assert sol.shock_time == shock_time(IDENT, sine_profile(), (0.0, TWO_PI))
 
 
 @pytest.mark.parametrize("times, tol, message", [

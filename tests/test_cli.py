@@ -269,6 +269,16 @@ def test_constants_past_the_float_range_exit_one_with_a_message(capsys, argv):
     assert "error: a constant or power is past the floating-point range" in err
 
 
+def test_a_residual_that_overflows_at_every_sample_is_inconclusive(capsys):
+    # R2 = 2^1023*(2 + u^2)^9 + u is past the float range at every sample
+    code, out, err = run(capsys, "verify", "--alpha", "u", "--beta", "0",
+                         "--tau", "0", "--xi", "0",
+                         "--eta", "2^1023*(2 + u^2)^9 + u")
+    assert code == 3
+    assert "inconclusive: all 200 samples hit poles or overflowed" in err
+    assert "symmetry check: pass" not in out
+
+
 def test_malformed_seed_variable_is_a_configuration_error(capsys, monkeypatch):
     monkeypatch.setenv("LIECONSERVE_SEED", "abc")
     # the residuals of X7 are structural zeros, so no sample is ever drawn

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -335,6 +336,22 @@ def test_is_zero_raises_when_every_sample_hits_a_pole():
     # one of the two square roots has a negative base at every sample
     with pytest.raises(InconclusiveZeroTest):
         is_zero(parse("u^(1/2) + (0 - u)^(1/2)"))
+
+
+def test_is_zero_skips_values_past_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no numpy overflow warning
+        # the first term overflows at every sample: no evidence, not "zero"
+        with pytest.raises(InconclusiveZeroTest, match="overflowed"):
+            is_zero(parse("2^1023*(2 + u^2)^9 + u"))
+        # x^1100 overflows for |x| > 1.9 only, in the float point as in the
+        # batch; the other points decide, whatever the seed draws first
+        e = parse("x^1100*u - x^1100*u^(1/2)*u^(1/2)")
+        for seed in range(20):
+            verdict = is_zero(e, ZeroTestConfig(seed=seed))
+            assert verdict.zero and verdict.method == "sampled"
+            assert verdict.samples_used + verdict.samples_skipped == 200
+            assert verdict.samples_skipped > 0
 
 
 def test_poly_round_trip_and_rejections():
