@@ -13,22 +13,17 @@ which the classifier analyzes case by case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .expr import (Const, DEFAULT_TABLE, Expr, ExprError, Func, FunctionDef,
-                   FunctionTable, Jet, Param, T, U, U_T, X, ZERO,
-                   ZeroTestConfig, add, diff, free_symbols, from_terms,
-                   is_zero, mul, neg, normalize, power, substitute, to_text)
+from .expr import (Const, Expr, ExprError, Func, FunctionDef, FunctionTable,
+                   Jet, Param, T, U, U_T, UnsupportedIntegrand, X, ZERO,
+                   ZeroTestConfig, add, as_expr, diff, free_symbols,
+                   integrate, is_zero, mul, neg, power, substitute, to_text)
 from .jet_calculus import EvolutionSpec, SpecError, adjoint_of, bind_adjoint_field
 
 SELF_ADJOINT = "self_adjoint"
 QUASI_SELF_ADJOINT = "quasi_self_adjoint"
 NOT_QUASI_SELF_ADJOINT = "not_quasi_self_adjoint"
-
-
-class UnsupportedIntegrand(ExprError):
-    """The integrand is outside the closed-form class (polynomial in u)."""
 
 
 class InconclusiveClassification(ExprError):
@@ -55,31 +50,6 @@ class AdjointnessVerdict:
         return self.kind in (SELF_ADJOINT, QUASI_SELF_ADJOINT)
 
 
-def _contains_u(e: Expr) -> bool:
-    return any(isinstance(s, Jet) and s.field == "u" for s in free_symbols(e))
-
-
-def integrate_poly_in_u(e: Expr, table: FunctionTable = DEFAULT_TABLE) -> Expr:
-    """Antiderivative in u of an expression polynomial in u whose
-    coefficients are u-free; raises UnsupportedIntegrand otherwise."""
-    out = {}
-    for mono, c in normalize(e).terms.items():
-        k = 0
-        rest = []
-        for a, n in mono:
-            if a == U:
-                if n < 0:
-                    raise UnsupportedIntegrand("power %d of u" % n)
-                k = n
-            elif _contains_u(a):
-                raise UnsupportedIntegrand("u inside %s" % to_text(a))
-            else:
-                rest.append((a, n))
-        rest.append((U, k + 1))
-        out[tuple(sorted(rest))] = c * Fraction(1, k + 1)
-    return from_terms(out)
-
-
 def _phi_symbol(r: Expr, table: FunctionTable) -> tuple[Expr, FunctionTable]:
     """An opaque phi(u) whose derivative rewrites as r(u)*phi(u), so that
     phi'/phi = r holds structurally without a closed form."""
@@ -104,7 +74,6 @@ def classify(spec: EvolutionSpec,
     table = spec.table
 
     def zero(e: Expr) -> bool:
-        e = normalize(e)
         return e == ZERO or is_zero(e, config, table).zero
 
     parts = spec.linear_parts()
@@ -128,19 +97,19 @@ def classify(spec: EvolutionSpec,
             NOT_QUASI_SELF_ADJOINT, None, None,
             "beta = 0 but alpha depends on x, which forces phi = 0", table)
 
-    r = normalize(mul(add(alpha_x, neg(beta_u)), power(beta, -1)))
+    r = mul(add(alpha_x, neg(beta_u)), power(beta, -1))
     if not zero(diff(r, T, table)) or not zero(diff(r, X, table)):
         return AdjointnessVerdict(
             NOT_QUASI_SELF_ADJOINT, None, None,
             "(alpha_x - beta_u)/beta depends on t or x, so no u-only phi "
             "can satisfy the identity", table, r=r)
 
-    integrand = normalize(mul(U, alpha_x))
+    integrand = mul(U, alpha_x)
     try:
-        anti = integrate_poly_in_u(integrand, table)
+        anti = integrate(integrand, U)
     except UnsupportedIntegrand:
         raise InconclusiveClassification(integrand) from None
-    g = normalize(add(mul(U, beta), neg(anti)))
+    g = add(mul(U, beta), neg(anti))
     if zero(diff(g, U, table)):
         return AdjointnessVerdict(
             SELF_ADJOINT, U, Const(-1),
@@ -154,7 +123,7 @@ def classify(spec: EvolutionSpec,
             "forcing phi' = 0", table, r=r)
 
     try:
-        integrate_poly_in_u(r, table)
+        integrate(r, U)
     except UnsupportedIntegrand:
         return AdjointnessVerdict(
             NOT_QUASI_SELF_ADJOINT, None, None,
@@ -163,7 +132,7 @@ def classify(spec: EvolutionSpec,
             "exists" % to_text(r), table, r=r)
 
     phi, extended = _phi_symbol(r, table)
-    factor = normalize(neg(mul(r, phi)))
+    factor = neg(mul(r, phi))
     return AdjointnessVerdict(
         QUASI_SELF_ADJOINT, phi, factor,
         "phi'/phi = %s depends on u alone; phi is carried opaquely with "
@@ -188,7 +157,7 @@ def verify_substitution(spec: EvolutionSpec, phi: Expr,
                         config: ZeroTestConfig | None = None) -> SubstitutionReport:
     """Check F*|_{v=phi(u)} + phi'(u)*F = 0 for a concrete phi over u."""
     table = table if table is not None else spec.table
-    phi = normalize(phi)
+    phi = as_expr(phi)
     for sym in free_symbols(phi):
         if isinstance(sym, Param):
             continue
@@ -198,8 +167,8 @@ def verify_substitution(spec: EvolutionSpec, phi: Expr,
                             % to_text(phi))
     adjoint = adjoint_of(spec)
     bound = bind_adjoint_field(adjoint, phi, table)
-    equation = normalize(add(U_T, spec.f))
-    residual = normalize(add(bound, mul(diff(phi, U, table), equation)))
+    equation = add(U_T, spec.f)
+    residual = add(bound, mul(diff(phi, U, table), equation))
     if residual == ZERO:
         return SubstitutionReport(residual, True)
     verdict = is_zero(residual, config, table)

@@ -20,8 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (Expr, Param, Poly, T, U, U_X, X, evaluate, free_symbols,
-                   JetPoint, FunctionTable, DEFAULT_TABLE, normalize)
+from .expr import (Expr, Param, T, U, U_X, W, X, as_expr, diff, evaluate,
+                   free_symbols, polynomial_function, JetPoint, FunctionTable,
+                   DEFAULT_TABLE)
 
 PRE_SHOCK_FRACTION = 0.95
 _SHOCK_GRID = 4096
@@ -95,9 +96,10 @@ def spline_bump_profile(amplitude: float = 1.0, center: float = 0.0,
     return InitialProfile(f, df, "spline-bump")
 
 
-def polynomial_profile(p: Poly, label: str = "polynomial") -> InitialProfile:
-    dp = p.derivative()
-    return InitialProfile(lambda xi: p(xi), lambda xi: dp(xi), label)
+def polynomial_profile(p: Expr, label: str = "polynomial") -> InitialProfile:
+    """The profile u0(xi) = p(xi) for p a polynomial in w."""
+    return InitialProfile(polynomial_function(p),
+                          polynomial_function(diff(p, W)), label)
 
 
 BUILTIN_PROFILES = {
@@ -107,11 +109,11 @@ BUILTIN_PROFILES = {
 }
 
 
-def _shock_scan(a: Poly, u0: InitialProfile,
+def _shock_scan(da, u0: InitialProfile,
                 domain: tuple[float, float]) -> tuple[float, np.ndarray]:
-    """(t*, u0 on the dense grid): the grid values serve the caller too."""
+    """(t*, u0 on the dense grid) for the wave-speed derivative da as a
+    float function; the grid values serve the caller too."""
     lo, hi = float(domain[0]), float(domain[1])
-    da = a.derivative()
 
     def slope(xi, u):
         return np.asarray(da(u) * u0.derivative(xi), dtype=float)
@@ -132,20 +134,22 @@ def _shock_scan(a: Poly, u0: InitialProfile,
     return (math.inf if m >= 0.0 else -1.0 / m), grid_u
 
 
-def shock_time(a: Poly, u0: InitialProfile,
+def shock_time(a: Expr, u0: InitialProfile,
                domain: tuple[float, float]) -> float:
-    """First crossing time t* = -1/min (a o u0)'; +inf when the slope
-    never decreases.  Dense grid minimum, sharpened by zooming: each pass
-    samples a small grid over the bracket around the current minimum."""
-    return _shock_scan(a, u0, domain)[0]
+    """First crossing time t* = -1/min (a o u0)' for a a polynomial in w;
+    +inf when the slope never decreases.  Dense grid minimum, sharpened by
+    zooming: each pass samples a small grid over the bracket around the
+    current minimum."""
+    return _shock_scan(polynomial_function(diff(a, W)), u0, domain)[0]
 
 
 @dataclass
 class CharacteristicSolution:
-    """Exact solution of u_t + a(u)u_x = 0 for a concrete a and initial
-    profile; valid for t below PRE_SHOCK_FRACTION times the shock time."""
+    """Exact solution of u_t + a(u)u_x = 0 for a concrete a, a polynomial
+    in w, and initial profile; valid for t below PRE_SHOCK_FRACTION times
+    the shock time."""
 
-    a: Poly
+    a: Expr
     u0: InitialProfile
     domain: tuple[float, float]
     boundary: str = "periodic"
@@ -158,12 +162,13 @@ class CharacteristicSolution:
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("domain bounds must be finite with x_lo < x_hi")
-        self.shock_time, grid_u = _shock_scan(self.a, self.u0, self.domain)
-        speeds = np.asarray(self.a(grid_u), dtype=float)
+        self._a = polynomial_function(self.a)
+        self._da = polynomial_function(diff(self.a, W))
+        self.shock_time, grid_u = _shock_scan(self._da, self.u0, self.domain)
+        speeds = np.asarray(self._a(grid_u), dtype=float)
         pad = 0.05 * (speeds.max() - speeds.min()) + 1e-6
         self._c_lo = float(speeds.min()) - pad
         self._c_hi = float(speeds.max()) + pad
-        self._da = self.a.derivative()
 
     def horizon(self) -> float:
         return PRE_SHOCK_FRACTION * self.shock_time
@@ -184,7 +189,7 @@ class CharacteristicSolution:
             return xs.copy(), self.u0(xs)
 
         def g(xi):
-            return xi + self.a(self.u0(xi)) * t - xs
+            return xi + self._a(self.u0(xi)) * t - xs
 
         lo = xs - self._c_hi * t
         hi = xs - self._c_lo * t
@@ -205,11 +210,11 @@ class CharacteristicSolution:
             raise CharacteristicsError(
                 "characteristic bracket failed at t = %g (pre-shock "
                 "inversion should always bracket)" % t)
-        xi = np.clip(xs - self.a(self.u0(xs)) * t, lo, hi)
+        xi = np.clip(xs - self._a(self.u0(xs)) * t, lo, hi)
         tiny = 4.0 * _EPS * (1.0 + np.max(np.abs(xs)))
         for _ in range(_NEWTON_CAP):
             u = self.u0(xi)
-            residual = xi + self.a(u) * t - xs
+            residual = xi + self._a(u) * t - xs
             hi = np.where(residual > 0.0, xi, hi)
             lo = np.where(residual < 0.0, xi, lo)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -221,7 +226,7 @@ class CharacteristicSolution:
             if moved <= tiny:
                 break
         u = self.u0(xi)
-        if (np.max(np.abs(xi + self.a(u) * t - xs))
+        if (np.max(np.abs(xi + self._a(u) * t - xs))
                 > self.inversion_tol * (1.0 + np.max(np.abs(xs)))):
             raise CharacteristicsError(
                 "characteristic inversion stalled above tolerance %g"
@@ -245,7 +250,7 @@ class CharacteristicSolution:
 def _array_density(e: Expr, table: FunctionTable):
     """The expression over t, x, u, u_x (every opaque function already
     instantiated) as a callable of those four, evaluated on whole arrays."""
-    e = normalize(e)
+    e = as_expr(e)
     allowed = {T, X, U, U_X}
     for sym in free_symbols(e):
         if isinstance(sym, Param) or sym in allowed:
@@ -289,7 +294,7 @@ def conserved_integral(sol: CharacteristicSolution, density, t: float,
     xi = np.linspace(start, end, nodes + 1)
     u, du = sol.u0(xi), sol.u0.derivative(xi)
     jac = 1.0 + t * sol._da(u) * du
-    x = xi + sol.a(u) * t
+    x = xi + sol._a(u) * t
     ys = np.broadcast_to(np.asarray(fn(t, x, u, du / jac), dtype=float),
                          xi.shape) * jac
     h = (end - start) / nodes
@@ -338,7 +343,7 @@ def verify_law(sol: CharacteristicSolution, c0: Expr, c1: Expr,
             raise CharacteristicsError(
                 "time %g is past the pre-shock horizon %g" % (t, horizon))
     flux_autonomous = not any(
-        sym in (T, X) for sym in free_symbols(normalize(c1)))
+        sym in (T, X) for sym in free_symbols(as_expr(c1)))
     c0_fn = _array_density(c0, table)
     c1_fn = _array_density(c1, table)
 

@@ -23,8 +23,9 @@ from .conservation import (CATALOG_ALIASES, NotSelfAdjointError,
                            build_vector_self, burgers_claw_catalog,
                            divergence_residual)
 from .expr import (Expr, ExprError, ExprSyntaxError, Func,
-                   InconclusiveZeroTest, U, ZERO, ZeroTestConfig,
-                   instantiate, is_zero, parse, poly_from_expr, to_text)
+                   InconclusiveZeroTest, U, W, X, ZERO, ZeroTestConfig,
+                   instantiate, is_zero, parse, polynomial_terms, substitute,
+                   to_text)
 from .jet_calculus import EvolutionSpec, on_solution_reduce
 from .symmetry import (Generator, burgers_catalog,
                        determining_residual_generic,
@@ -305,12 +306,12 @@ def _profile_from(args) -> InitialProfile:
         return BUILTIN_PROFILES[name]()
     expr = _parse_expr(name, "--numeric")
     try:
-        poly = poly_from_expr(expr, var_names=("x",))
+        polynomial_terms(expr, X)
     except ExprError:
         raise CliError("--numeric must be a builtin name (%s) or a "
                        "polynomial in x"
                        % ", ".join(sorted(BUILTIN_PROFILES))) from None
-    return polynomial_profile(poly, name)
+    return polynomial_profile(substitute(expr, {X: W}), name)
 
 
 def cmd_claw(args) -> int:
@@ -392,10 +393,12 @@ def _run_numeric(args, spec: EvolutionSpec, cv, lines: list[str]) -> dict:
     if args.a is None:
         raise CliError("numeric mode needs --a, the polynomial instantiation "
                        "of a(u)")
+    a_expr = _parse_expr(args.a, "--a")
     try:
-        a_poly = poly_from_expr(_parse_expr(args.a, "--a"), var_names=("u",))
+        polynomial_terms(a_expr, U)
     except ExprError:
         raise CliError("--a must be polynomial in u") from None
+    a_poly = substitute(a_expr, {U: W})
     times = sorted(args.times)
     if any(t <= 0 for t in times):
         raise CliError("times must be positive")

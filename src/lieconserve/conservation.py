@@ -16,9 +16,8 @@ from typing import Optional
 from .adjointness import (NOT_QUASI_SELF_ADJOINT, SELF_ADJOINT,
                           AdjointnessVerdict, classify)
 from .expr import (Const, Expr, ExprError, Func, FunctionTable, Jet, T, U,
-                   U_T, U_X, V, X, ZERO, ZeroTestConfig, add, diff,
-                   free_symbols, is_zero, mul, neg, normalize, power,
-                   to_text)
+                   U_T, U_X, V, X, ZERO, ZeroTestConfig, add, as_expr, diff,
+                   free_symbols, is_zero, mul, neg, power, to_text)
 from .jet_calculus import (EvolutionSpec, SpecError, bind_adjoint_field,
                            on_solution_reduce, total_derivative)
 from .symmetry import Generator
@@ -43,8 +42,8 @@ class ConservedVector:
     table: Optional[FunctionTable] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", normalize(self.c0))
-        object.__setattr__(self, "c1", normalize(self.c1))
+        object.__setattr__(self, "c0", as_expr(self.c0))
+        object.__setattr__(self, "c1", as_expr(self.c1))
 
     def involves_adjoint_field(self) -> bool:
         return any(isinstance(s, Jet) and s.field == "v"
@@ -59,11 +58,9 @@ def build_vector_general(spec: EvolutionSpec, g: Generator) -> ConservedVector:
     f = spec.f
     lagrangian = mul(V, add(U_T, f))
     w = add(g.eta, neg(mul(g.xi, U_X)), neg(mul(g.tau, U_T)))
-    c0 = on_solution_reduce(
-        normalize(add(mul(g.tau, lagrangian), mul(w, V))), spec)
+    c0 = on_solution_reduce(add(mul(g.tau, lagrangian), mul(w, V)), spec)
     c1 = on_solution_reduce(
-        normalize(add(mul(g.xi, lagrangian),
-                      mul(w, V, diff(f, U_X, table)))), spec)
+        add(mul(g.xi, lagrangian), mul(w, V, diff(f, U_X, table))), spec)
     label = g.name or str(g)
     return ConservedVector(c0, c1, "two-field pair from %s" % label, table)
 
@@ -83,10 +80,7 @@ def build_vector_self(spec: EvolutionSpec, g: Generator,
     if not verdict.admits_substitution:
         raise NotSelfAdjointError(verdict)
     table = verdict.table
-    if phi is None:
-        phi = verdict.phi
-    else:
-        phi = normalize(phi)
+    phi = verdict.phi if phi is None else as_expr(phi)
     alpha, beta = spec.linear_parts()
     drift = add(mul(g.tau, alpha), neg(g.xi))
     c0 = mul(add(g.eta, mul(g.tau, beta), mul(drift, U_X)), phi)
@@ -164,7 +158,7 @@ def divergence_residual(cv: ConservedVector, spec: EvolutionSpec,
         raise SpecError("phi supplied but the vector has no v to bind")
     divergence = add(total_derivative(c0, "t", table),
                      total_derivative(c1, "x", table))
-    residual = on_solution_reduce(normalize(divergence), spec)
+    residual = on_solution_reduce(divergence, spec)
     if residual == ZERO:
         return DivergenceReport(residual, True)
     verdict = is_zero(residual, config, table)

@@ -1,13 +1,20 @@
-"""Partial differentiation treating every jet symbol as an independent
-coordinate.  Opaque function applications follow the chain rule through
-their argument list, using the derivative rules of the function table."""
+"""Partial differentiation and polynomial integration, treating every jet
+symbol as an independent coordinate.  Opaque function applications follow
+the chain rule through their argument list, using the derivative rules of
+the function table."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .functions import DEFAULT_TABLE, FunctionTable
 from .tree import (Atom, Expr, ExprError, Func, Jet, ONE, Param, Pow, Sum,
-                   ZERO, _accumulate, _mono_mul, add, as_expr, from_terms, mul,
-                   power)
+                   ZERO, _accumulate, _mono_mul, _rational, add, as_expr,
+                   free_symbols, from_terms, mul, power, to_text)
+
+
+class UnsupportedIntegrand(ExprError):
+    """The integrand is not a polynomial in the integration variable."""
 
 
 def diff(e: Expr, sym: Expr, table: FunctionTable | None = None) -> Expr:
@@ -16,6 +23,31 @@ def diff(e: Expr, sym: Expr, table: FunctionTable | None = None) -> Expr:
         raise ExprError("can only differentiate with respect to a symbol")
     table = table if table is not None else DEFAULT_TABLE
     return _diff(as_expr(e), sym, table)
+
+
+def integrate(e: Expr, sym: Expr) -> Expr:
+    """The antiderivative in sym (a Jet or Param symbol) of e, a polynomial
+    in sym whose coefficients are free of it, with constant term 0.  Raises
+    UnsupportedIntegrand for a negative power of sym, or for sym inside a
+    function argument or a power base."""
+    if not isinstance(sym, (Jet, Param)):
+        raise ExprError("can only integrate with respect to a symbol")
+    out = {}
+    for mono, c in as_expr(e).terms.items():
+        k = 0
+        rest = []
+        for a, n in mono:
+            if a == sym:
+                if n < 0:
+                    raise UnsupportedIntegrand("power %d of %s" % (n, sym))
+                k = n
+            elif isinstance(a, (Func, Pow)) and sym in free_symbols(a):
+                raise UnsupportedIntegrand("%s inside %s" % (sym, to_text(a)))
+            else:
+                rest.append((a, n))
+        rest.append((sym, k + 1))
+        out[tuple(sorted(rest))] = _rational(Fraction(c, k + 1))
+    return from_terms(out)
 
 
 def _diff(e: Expr, s: Atom, table: FunctionTable) -> Expr:

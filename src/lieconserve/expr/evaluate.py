@@ -1,12 +1,13 @@
 """Floating evaluation and the zero test.
 
-Opaque function symbols are evaluated through polynomial instantiations;
-primed symbols evaluate as true derivatives of the instantiated polynomial,
-so identities that hold for arbitrary smooth choices can be probed by
-sampling.  ``evaluate`` takes floats or numpy arrays for the symbols.
-``is_zero`` answers structural zeros and zero numerators after clearing
-denominators exactly, and otherwise samples jet points, in batches, from a
-box that excludes a neighbourhood of zero.
+Opaque function symbols of one argument are evaluated through polynomial
+instantiations, expressions in the formal argument ``w``; primed symbols
+evaluate as true derivatives of the instantiated polynomial, so identities
+that hold for arbitrary smooth choices can be probed by sampling.
+``evaluate`` takes floats or numpy arrays for the symbols.  ``is_zero``
+answers structural zeros and zero numerators after clearing denominators
+exactly, and otherwise samples jet points, in batches, from a box that
+excludes a neighbourhood of zero.
 """
 
 from __future__ import annotations
@@ -20,14 +21,17 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .derive import diff
 from .functions import DEFAULT_TABLE, FunctionDef, FunctionTable
-from .tree import (Const, Expr, ExprError, Func, Jet, Param, Pow, ZERO, add,
-                   cleared_numerator, free_symbols, function_names, mul,
-                   normalize, power, replace_atoms, to_text)
+from .tree import (Expr, ExprError, Func, Pow, Rational, W, ZERO, _rational,
+                   add, as_expr, atoms, cleared_numerator, free_symbols,
+                   from_terms, mul, polynomial_terms, power, replace_atoms,
+                   substitute, to_text)
 
 
 class EvaluationError(ExprError):
-    """Evaluation hit a pole or an unbound symbol; carries the subexpression."""
+    """Evaluation hit a pole, an unbound symbol or a function symbol without
+    an instantiation; carries the subexpression."""
 
     def __init__(self, message: str, subexpr: Expr | None = None):
         super().__init__(message if subexpr is None
@@ -47,99 +51,28 @@ ENV_SEED = "LIECONSERVE_SEED"
 _DEFAULT_SEED = 170824
 
 
-class Poly:
-    """Sparse polynomial in ``nvars`` formal arguments, exact coefficients.
+def Poly(coeffs: Mapping[tuple[int], Rational]) -> Expr:
+    """The instantiation ``sum of c*w^k`` over ``coeffs = {(k,): c}``, its
+    terms in the order given: the coefficient form of an instantiation."""
+    return from_terms({((W, k),) if k else (): _rational(c)
+                       for (k,), c in coeffs.items() if c})
 
-    Used as the concrete instantiation of an opaque function symbol; the
-    formal arguments correspond to the symbol's argument slots.
-    """
 
-    def __init__(self, coeffs: Mapping[tuple[int, ...], Fraction], nvars: int = 1):
-        self.nvars = nvars
-        self.coeffs = {tuple(k): Fraction(v) for k, v in coeffs.items() if v != 0}
+def polynomial_function(p: Expr):
+    """p, a polynomial in w, as a function of a float or a numpy array: the
+    sum of ``c*x**k`` in term order, the coefficients converted to floats
+    once.  A constant gives an array of the argument's shape."""
+    terms = [(k, float(c)) for k, c in polynomial_terms(p, W)]
 
-    @classmethod
-    def identity(cls) -> "Poly":
-        return cls({(1,): Fraction(1)})
-
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return Poly(out, self.nvars)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return Poly(out, self.nvars)
-
-    def derivative(self, i: int = 0) -> "Poly":
-        out = {}
-        for k, v in self.coeffs.items():
-            if k[i] > 0:
-                kk = k[:i] + (k[i] - 1,) + k[i + 1:]
-                out[kk] = out.get(kk, Fraction(0)) + v * k[i]
-        return Poly(out, self.nvars)
-
-    def integrate(self, i: int = 0) -> "Poly":
-        out = {}
-        for k, v in self.coeffs.items():
-            kk = k[:i] + (k[i] + 1,) + k[i + 1:]
-            out[kk] = v / (k[i] + 1)
-        return Poly(out, self.nvars)
-
-    def __call__(self, *vals):
+    def call(x):
         acc = 0.0
-        for k, v in self.coeffs.items():
-            term = float(v)
-            for power_, val in zip(k, vals):
-                if power_:
-                    term = term * val ** power_
-            acc = acc + term
-        if vals and isinstance(vals[0], np.ndarray) and np.ndim(acc) == 0:
-            acc = np.full_like(vals[0], acc, dtype=float)
+        for k, c in terms:
+            acc = acc + (c * x ** k if k else c)
+        if isinstance(x, np.ndarray) and np.ndim(acc) == 0:
+            acc = np.full_like(x, acc, dtype=float)
         return acc
 
-    def __repr__(self):
-        return "Poly(%r)" % (self.coeffs,)
-
-
-def poly_from_expr(e: Expr, var_names: Sequence[str] = ("u",)) -> Poly:
-    """Convert a polynomial expression over the named symbols to a Poly."""
-    e = normalize(e)
-    slots = {name: i for i, name in enumerate(var_names)}
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for mono, c in e.terms.items():
-        key = [0] * len(var_names)
-        for a, k in mono:
-            if isinstance(a, Param):
-                label = a.name
-            elif isinstance(a, Jet) and a.nx == 0 and a.nt == 0:
-                label = a.field
-            else:
-                raise ExprError("non-polynomial factor %s" % a)
-            if label not in slots:
-                raise ExprError("symbol %s is not a polynomial variable here" % a)
-            if k < 0:
-                raise ExprError("non-polynomial power %s^%d" % (a, k))
-            key[slots[label]] += k
-        coeffs[tuple(key)] = coeffs.get(tuple(key), 0) + c
-    return Poly(coeffs, len(var_names))
-
-
-def poly_to_expr(p: Poly, args: Sequence[Expr]) -> Expr:
-    """The polynomial as an expression in the given argument expressions."""
-    terms = []
-    for k, v in p.coeffs.items():
-        factors: list[Expr] = [Const(v)]
-        for exp, arg in zip(k, args):
-            if exp:
-                factors.append(power(arg, exp))
-        terms.append(mul(*factors))
-    return add(*terms)
+    return call
 
 
 @dataclass
@@ -148,29 +81,29 @@ class JetPoint:
     values are floats or numpy arrays of one shape (a batch of points)."""
 
     values: dict[Expr, float | np.ndarray]
-    functions: dict[str, Poly] = field(default_factory=dict)
+    functions: dict[str, Expr] = field(default_factory=dict)
 
     def describe(self) -> str:
         parts = ["%s=%.6g" % (sym, val)
                  for sym, val in sorted(self.values.items(),
                                         key=lambda kv: str(kv[0]))]
         for name in sorted(self.functions):
-            body = poly_to_expr(self.functions[name], (Param("w"),))
-            parts.append("%s:=%s" % (name, to_text(body)))
+            parts.append("%s:=%s" % (name, to_text(self.functions[name])))
         return ", ".join(parts)
 
 
-def default_instantiations() -> list[Poly]:
-    """The standard probe set; each has a nonvanishing derivative off zero."""
-    return [
-        Poly({(1,): Fraction(1)}),                      # w
-        Poly({(0,): Fraction(2), (2,): Fraction(1)}),   # 2 + w^2
-        Poly({(1,): Fraction(1), (3,): Fraction(1, 3)}),  # w + w^3/3
-    ]
+# Built once: every is_zero call without a config makes a ZeroTestConfig.
+_PROBES = (W, add(2, power(W, 2)), add(W, mul(Fraction(1, 3), power(W, 3))))
 
 
-def resolve_instantiations(names: Iterable[str], given: Mapping[str, Poly],
-                           table: FunctionTable) -> dict[str, Poly]:
+def default_instantiations() -> list[Expr]:
+    """The standard probe set, w, 2 + w^2 and w + w^3/3; each has a
+    nonvanishing derivative off zero."""
+    return list(_PROBES)
+
+
+def resolve_instantiations(names: Iterable[str], given: Mapping[str, Expr],
+                           table: FunctionTable) -> dict[str, Expr]:
     """Fill instantiations for the given base symbols, building derived ones
     (and their dependencies) from what is supplied."""
     out = dict(given)
@@ -192,14 +125,25 @@ def resolve_instantiations(names: Iterable[str], given: Mapping[str, Poly],
     return out
 
 
-def _instantiation(fdef: FunctionDef, functions: Mapping[str, Poly],
-                   table: FunctionTable) -> Poly:
-    """The polynomial of a symbol: its base's (built when the base is
-    derived), differentiated per its order."""
+def _univariate(a: Func, table: FunctionTable) -> FunctionDef:
+    """The definition of a one-argument application; any other raises, as
+    instantiations are polynomials in one variable."""
+    fdef = table[a.name]
+    if fdef.arity != 1 or len(a.args) != 1:
+        raise EvaluationError("function symbol %s has %d arguments; only "
+                              "one-argument symbols can be instantiated"
+                              % (a.name, len(a.args)), a)
+    return fdef
+
+
+def _instantiation(a: Func, functions: Mapping[str, Expr],
+                   table: FunctionTable) -> Expr:
+    """The polynomial in w of an application: its base's (built when the
+    base is derived), differentiated per its order."""
+    fdef = _univariate(a, table)
     p = resolve_instantiations((fdef.base,), functions, table)[fdef.base]
-    for i, k in enumerate(fdef.order):
-        for _ in range(k):
-            p = p.derivative(i)
+    for _ in range(fdef.order[0]):
+        p = diff(p, W, table)
     return p
 
 
@@ -213,7 +157,7 @@ def _float_pow(x: float, k) -> float:
 
 
 def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
-          table: FunctionTable, functions: Mapping[str, Poly],
+          table: FunctionTable, functions: Mapping[str, Expr],
           mask: bool = False):
     """Evaluate e at one point (float values, Python's float arithmetic) or
     at a batch (array values, numpy's).
@@ -233,7 +177,7 @@ def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
     scale = 0.0
     poles = False
     atom_values: dict = {}
-    polys: dict[str, Poly] = {}
+    polys: dict = {}        # name -> float function of its instantiation
 
     def pole(where, x, message: str, a):
         nonlocal poles
@@ -248,8 +192,9 @@ def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
         if isinstance(a, Func):
             p = polys.get(a.name)
             if p is None:
-                p = polys[a.name] = _instantiation(table[a.name], functions, table)
-            return p(*[go(arg) for arg in a.args])
+                p = polys[a.name] = polynomial_function(
+                    _instantiation(a, functions, table))
+            return p(go(a.args[0]))
         if isinstance(a, Pow):
             b = go(a.base)
             q = a.exponent
@@ -301,9 +246,11 @@ def evaluate(e: Expr, point: JetPoint,
     uninstantiated functions; in a batch, when any point has one.
 
     The operation order is ``float(c)``, then the factors multiplied in one
-    by one, then the terms summed.  A single point is evaluated as a batch
-    of one, so it gets the same bits as the same point in any batch, unless
-    an opaque function symbol is evaluated through its ``Poly``.
+    by one, then the terms summed; an opaque function symbol is evaluated
+    through ``polynomial_function`` of its instantiation.  A single point
+    is evaluated as a batch of one, so it gets the same bits as the same
+    point in any batch.  A function symbol of more than one argument raises
+    EvaluationError.
     """
     table = table if table is not None else DEFAULT_TABLE
     values = point.values
@@ -321,8 +268,8 @@ class ZeroTestConfig:
     samples: int = 200
     box: tuple[float, float] = (0.1, 2.0)
     tolerance: float = 1e-9
-    instantiations: dict[str, Sequence[Poly]] = field(default_factory=dict)
-    default_set: Sequence[Poly] = field(default_factory=default_instantiations)
+    instantiations: dict[str, Sequence[Expr]] = field(default_factory=dict)
+    default_set: Sequence[Expr] = field(default_factory=default_instantiations)
     seed: Optional[int] = None
 
     def resolved_seed(self) -> int:
@@ -378,18 +325,21 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
     ``samples_used`` counts the points evaluated up to and including it.
     A point that hits a pole, or whose value overflows to inf or nan, is
     skipped (``samples_skipped``); if every sample is skipped the test
-    raises ``InconclusiveZeroTest``.
+    raises ``InconclusiveZeroTest``.  A function symbol of more than one
+    argument has no instantiation, and raises EvaluationError before any
+    sampling.
     """
     table = table if table is not None else DEFAULT_TABLE
     cfg = config if config is not None else ZeroTestConfig()
-    e = normalize(e)
+    e = as_expr(e)
     if e == ZERO:
         return ZeroVerdict(zero=True, method="structural")
     if cleared_numerator(e) == ZERO:
         return ZeroVerdict(zero=True, method="cleared")
 
     symbols = sorted(free_symbols(e), key=str)
-    base_names = {table[n].base for n in function_names(e)}
+    base_names = {_univariate(a, table).base
+                  for a in atoms(e) if isinstance(a, Func)}
     frontier = list(base_names)
     while frontier:
         fdef = table[frontier.pop()]
@@ -441,16 +391,17 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
     return ZeroVerdict(zero=True, samples_used=used, samples_skipped=skipped)
 
 
-def instantiate(e: Expr, functions: Mapping[str, Poly],
+def instantiate(e: Expr, functions: Mapping[str, Expr],
                 table: FunctionTable | None = None) -> Expr:
     """Replace opaque function applications by their polynomial
-    instantiations, symbolically; derived symbols are built on the fly."""
+    instantiations, symbolically; derived symbols are built on the fly.  A
+    function symbol of more than one argument raises EvaluationError."""
     table = table if table is not None else DEFAULT_TABLE
 
     def replace(a) -> Optional[Expr]:
         if isinstance(a, Func):
-            return poly_to_expr(_instantiation(table[a.name], functions, table),
-                                [go(arg) for arg in a.args])
+            return substitute(_instantiation(a, functions, table),
+                              {W: go(a.args[0])})
         if isinstance(a, Pow):
             base = go(a.base)
             return None if base == a.base else power(base, a.exponent)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .tree import Expr, ExprError, Func, mul
+from .tree import Expr, ExprError, Func, W, mul
 
 
 class UnknownFunctionError(ExprError):
@@ -28,8 +28,9 @@ class FunctionDef:
     ``base``/``order`` record lineage: ``a''`` has base ``a`` and order
     ``(2,)``.  ``rewrite`` maps the argument expressions to the derivative
     with respect to argument ``i`` (then the chain rule applies).
-    ``derived_poly`` builds this symbol's numeric instantiation from the
-    instantiations of the symbols named in ``derived_deps``.
+    ``derived_poly`` builds this symbol's instantiation, a polynomial in
+    ``w``, from the instantiations of the symbols named in
+    ``derived_deps``.  Instantiations exist for one-argument symbols only.
     """
 
     name: str
@@ -37,7 +38,7 @@ class FunctionDef:
     base: str = ""
     order: tuple[int, ...] = ()
     rewrite: Optional[Callable[[int, tuple[Expr, ...]], Expr]] = None
-    derived_poly: Optional[Callable[[Mapping[str, object]], object]] = None
+    derived_poly: Optional[Callable[[Mapping[str, Expr]], Expr]] = None
     derived_deps: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -127,9 +128,9 @@ def build_default_table() -> FunctionTable:
     )
 
 
-def _density_antiderivative_poly(polys):
-    from .evaluate import Poly
-    return (Poly.identity() * polys["a"]).integrate()
+def _density_antiderivative_poly(polys: Mapping[str, Expr]) -> Expr:
+    from .derive import integrate
+    return integrate(mul(W, polys["a"]), W)
 
 
 DEFAULT_TABLE = build_default_table()

@@ -245,6 +245,9 @@ V = Jet("v")
 V_X = Jet("v", 1, 0)
 V_T = Jet("v", 0, 1)
 
+# The formal argument of function instantiations: ``a := w + w^3/3``.
+W = Param("w")
+
 
 def as_expr(value) -> Expr:
     if isinstance(value, Expr):
@@ -506,6 +509,22 @@ def free_symbols(e: Expr) -> set:
 
 def function_names(e: Expr) -> set[str]:
     return {a.name for a in atoms(e) if isinstance(a, Func)}
+
+
+def polynomial_terms(e: Expr, sym: Atom) -> list[tuple[int, Rational]]:
+    """The ``(exponent, coefficient)`` terms of e, in term order, when e is
+    a polynomial in the one symbol sym with rational coefficients; raises
+    ExprError otherwise."""
+    out = []
+    for mono, c in as_expr(e).terms.items():
+        if not mono:
+            out.append((0, c))
+        elif len(mono) == 1 and mono[0][0] == sym and mono[0][1] > 0:
+            out.append((mono[0][1], c))
+        else:
+            raise ExprError("not a polynomial in %s: %s"
+                            % (sym, _render_term(mono, c)[1]))
+    return out
 
 
 def max_jet_order(e: Expr) -> int:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .expr import (DEFAULT_TABLE, Expr, ExprError, FunctionTable, Jet,
-                   JetDepthError, Param, U, U_T, U_X, V, ZERO, add, diff,
-                   free_symbols, is_zero, max_jet_order, mul, neg, normalize,
+                   JetDepthError, Param, U, U_T, U_X, V, ZERO, add, as_expr,
+                   diff, free_symbols, is_zero, max_jet_order, mul, neg,
                    substitute)
 from .expr.tree import MAX_JET_ORDER
 
@@ -68,23 +68,23 @@ class EvolutionSpec:
 
     @classmethod
     def generic(cls, f: Expr, table: FunctionTable = DEFAULT_TABLE) -> "EvolutionSpec":
-        f = normalize(f)
+        f = as_expr(f)
         _check_flux(f)
         return cls(f=f, table=table)
 
     @classmethod
     def quasilinear(cls, alpha: Expr, beta: Expr,
                     table: FunctionTable = DEFAULT_TABLE) -> "EvolutionSpec":
-        alpha = normalize(alpha)
-        beta = normalize(beta)
+        alpha = as_expr(alpha)
+        beta = as_expr(beta)
         _check_coefficient(alpha, "alpha")
         _check_coefficient(beta, "beta")
-        f = normalize(add(mul(alpha, U_X), beta))
+        f = add(mul(alpha, U_X), beta)
         return cls(f=f, alpha=alpha, beta=beta, table=table)
 
     def u_t_value(self) -> Expr:
         """What u_t equals on solutions."""
-        return normalize(neg(self.f))
+        return neg(self.f)
 
     def linear_parts(self) -> Optional[tuple[Expr, Expr]]:
         """(alpha, beta) with f = alpha*u_x + beta, or None if f is not
@@ -98,7 +98,7 @@ class EvolutionSpec:
         if any(isinstance(s, Jet) and s.field == "u" and s.nx > 0
                for s in free_symbols(alpha)):
             raise SpecError("cannot isolate the u_x coefficient of %s" % self.f)
-        beta = normalize(self.f - alpha * U_X)
+        beta = self.f - alpha * U_X
         return alpha, beta
 
 
@@ -107,7 +107,7 @@ def total_derivative(e: Expr, coord: str,
     """Total t- or x-derivative on the jet space."""
     if coord not in ("t", "x"):
         raise ValueError("coord must be 't' or 'x'")
-    e = normalize(e)
+    e = as_expr(e)
     if max_jet_order(e) >= MAX_JET_ORDER:
         raise UnsupportedDepthError(
             "total derivative of an order-%d expression needs jets beyond "
@@ -123,7 +123,7 @@ def total_derivative(e: Expr, coord: str,
         bumped = (Jet(sym.field, sym.nx, sym.nt + 1) if coord == "t"
                   else Jet(sym.field, sym.nx + 1, sym.nt))
         pieces.append(mul(partial, bumped))
-    return normalize(add(*pieces))
+    return add(*pieces)
 
 
 # Prerequisites for each reducible t-jet of u: which lower rungs its
@@ -179,7 +179,7 @@ def on_solution_reduce(e: Expr, spec: EvolutionSpec) -> Expr:
     """Eliminate every t-derivative of u using u_t = -f and its
     differential consequences.  Derivatives of the adjoint field are left
     alone.  Idempotent."""
-    e = normalize(e)
+    e = as_expr(e)
     needed = {(s.nx, s.nt) for s in free_symbols(e)
               if isinstance(s, Jet) and s.field == "u" and s.nt > 0}
     if not needed:
@@ -196,7 +196,7 @@ def variational_derivative(lagrangian: Expr, fieldname: str,
     with respect to the named field."""
     if fieldname not in ("u", "v"):
         raise ValueError("fieldname must be 'u' or 'v'")
-    lagrangian = normalize(lagrangian)
+    lagrangian = as_expr(lagrangian)
     out = diff(lagrangian, Jet(fieldname), table)
     first = {(1, 0): "x", (0, 1): "t"}
     for (nx, nt), coord in first.items():
@@ -209,7 +209,7 @@ def variational_derivative(lagrangian: Expr, fieldname: str,
         if partial != ZERO:
             out = out + total_derivative(
                 total_derivative(partial, c2, table), c1, table)
-    return normalize(out)
+    return out
 
 
 def adjoint_of(spec: EvolutionSpec) -> Expr:
@@ -226,7 +226,7 @@ def bind_adjoint_field(e: Expr, phi: Expr,
                        table: FunctionTable = DEFAULT_TABLE) -> Expr:
     """Substitute v = phi and each v-derivative by the matching total
     derivative of phi.  phi may involve t, x, u."""
-    phi = normalize(phi)
+    phi = as_expr(phi)
     binds: dict[Expr, Expr] = {}
     for sym in free_symbols(e):
         if not (isinstance(sym, Jet) and sym.field == "v"):
@@ -237,4 +237,4 @@ def bind_adjoint_field(e: Expr, phi: Expr,
         for _ in range(sym.nx):
             value = total_derivative(value, "x", table)
         binds[sym] = value
-    return substitute(e, binds) if binds else normalize(e)
+    return substitute(e, binds) if binds else as_expr(e)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .expr import (DEFAULT_TABLE, Expr, Func, FunctionTable, Jet, ONE, T, U,
                    U_T, U_TT, U_X, U_XT, U_XX, X, ZERO, add, as_expr, diff,
-                   free_symbols, mul, neg, normalize, power, to_text)
+                   free_symbols, mul, neg, power, to_text)
 from .jet_calculus import EvolutionSpec, SpecError, on_solution_reduce, total_derivative
 
 
@@ -29,7 +29,7 @@ class Generator:
 
     def __post_init__(self):
         for label in ("tau", "xi", "eta"):
-            comp = normalize(as_expr(getattr(self, label)))
+            comp = as_expr(getattr(self, label))
             for sym in free_symbols(comp):
                 if isinstance(sym, Jet) and sym.field not in ("t", "x") and (
                         sym.field != "u" or sym.nx or sym.nt):
@@ -50,7 +50,7 @@ def scale_generator(lam: Expr, g: Generator) -> Generator:
     """Componentwise multiplication by lambda(u).  Preserves the symmetry
     property when beta = 0 and g is projectable; the residual check stays
     the arbiter otherwise."""
-    lam = normalize(as_expr(lam))
+    lam = as_expr(lam)
     name = None if g.name is None else "(%s)*%s" % (to_text(lam), g.name)
     return Generator(mul(lam, g.tau), mul(lam, g.xi), mul(lam, g.eta), name)
 
@@ -73,7 +73,7 @@ def determining_residual_generic(spec: EvolutionSpec, g: Generator) -> Expr:
     f_t = diff(f, T, table)
     f_u = diff(f, U, table)
     f_ux = diff(f, U_X, table)
-    return normalize(add(
+    return add(
         p["eta_t"],
         neg(mul(p["xi_t"], U_X)),
         mul(add(p["tau_t"], neg(p["eta_u"]), mul(p["xi_u"], U_X)), f),
@@ -84,7 +84,7 @@ def determining_residual_generic(spec: EvolutionSpec, g: Generator) -> Expr:
         mul(add(p["eta_x"], mul(p["eta_u"], U_X), neg(mul(p["xi_x"], U_X)),
                 neg(mul(p["xi_u"], power(U_X, 2)))), f_ux),
         mul(add(p["tau_x"], mul(p["tau_u"], U_X)), f, f_ux),
-    ))
+    )
 
 
 def determining_residual_pair(spec: EvolutionSpec, g: Generator) -> tuple[Expr, Expr]:
@@ -98,7 +98,7 @@ def determining_residual_pair(spec: EvolutionSpec, g: Generator) -> tuple[Expr, 
     p = _component_partials(g, table)
     a_t, a_x, a_u = (diff(alpha, s, table) for s in (T, X, U))
     b_t, b_x, b_u = (diff(beta, s, table) for s in (T, X, U))
-    r1 = normalize(add(
+    r1 = add(
         p["eta_t"],
         mul(beta, add(p["tau_t"], neg(p["eta_u"]))),
         mul(b_x, g.xi),
@@ -107,8 +107,8 @@ def determining_residual_pair(spec: EvolutionSpec, g: Generator) -> tuple[Expr, 
         neg(mul(power(beta, 2), p["tau_u"])),
         mul(alpha, p["eta_x"]),
         mul(alpha, beta, p["tau_x"]),
-    ))
-    r2 = normalize(add(
+    )
+    r2 = add(
         neg(p["xi_t"]),
         mul(alpha, p["tau_t"]),
         mul(beta, p["xi_u"]),
@@ -118,7 +118,7 @@ def determining_residual_pair(spec: EvolutionSpec, g: Generator) -> tuple[Expr, 
         neg(mul(alpha, beta, p["tau_u"])),
         neg(mul(alpha, p["xi_x"])),
         mul(power(alpha, 2), p["tau_x"]),
-    ))
+    )
     return r1, r2
 
 
@@ -128,7 +128,7 @@ def prolongation_residual(spec: EvolutionSpec, g: Generator) -> Expr:
     determining_residual_generic."""
     table = spec.table
     f = spec.f
-    w = normalize(add(g.eta, neg(mul(g.tau, U_T)), neg(mul(g.xi, U_X))))
+    w = add(g.eta, neg(mul(g.tau, U_T)), neg(mul(g.xi, U_X)))
     eta_t = add(total_derivative(w, "t", table),
                 mul(g.tau, U_TT), mul(g.xi, U_XT))
     eta_x = add(total_derivative(w, "x", table),
@@ -140,7 +140,7 @@ def prolongation_residual(spec: EvolutionSpec, g: Generator) -> Expr:
         eta_t,
         mul(eta_x, diff(f, U_X, table)),
     )
-    return on_solution_reduce(normalize(applied), spec)
+    return on_solution_reduce(applied, spec)
 
 
 def burgers_catalog(table: FunctionTable = DEFAULT_TABLE) -> list[Generator]:

@@ -8,9 +8,9 @@ from lieconserve.adjointness import (AdjointnessVerdict,
                                      InconclusiveClassification,
                                      NOT_QUASI_SELF_ADJOINT,
                                      QUASI_SELF_ADJOINT, SELF_ADJOINT,
-                                     classify, integrate_poly_in_u,
-                                     verify_substitution)
-from lieconserve.expr import Func, U, ZERO, parse
+                                     classify, verify_substitution)
+from lieconserve.expr import (Func, U, UnsupportedIntegrand, ZERO, integrate,
+                              parse)
 from lieconserve.jet_calculus import EvolutionSpec, SpecError
 
 
@@ -122,13 +122,11 @@ def test_substitution_argument_must_be_a_function_of_u_alone():
 
 
 def test_u_polynomial_antiderivative_helper():
-    assert integrate_poly_in_u(parse("u^2")) == parse("u^3/3")
-    assert integrate_poly_in_u(parse("2*x*u + t")) == parse("x*u^2 + t*u")
-    from lieconserve.adjointness import UnsupportedIntegrand
-    with pytest.raises(UnsupportedIntegrand):
-        integrate_poly_in_u(parse("1/u"))
-    with pytest.raises(UnsupportedIntegrand):
-        integrate_poly_in_u(parse("a(u)"))
+    assert integrate(parse("u^2"), U) == parse("u^3/3")
+    assert integrate(parse("2*x*u + t"), U) == parse("x*u^2 + t*u")
+    for text in ("1/u", "a(u)", "u^(1/2)", "x/(1 + u)"):
+        with pytest.raises(UnsupportedIntegrand):
+            integrate(parse(text), U)
 
 
 def test_verdict_exposes_the_reduction_factor():

@@ -1,15 +1,20 @@
-"""Known-answer guard: the benchmark's zero-test workloads, run as tests.
+"""Known-answer guard: the benchmark's workloads, run as tests.
 
 ``perfbench/workloads.py`` builds seeded inputs whose answers are known by
-construction (planted identities, non-identities, structural zeros and the
-residual identities of the symbolic scan) and checks each result against
-them.  Running the first two blocks of a few seeds here catches a zero test
-that answers wrongly on some inputs before the benchmark does.  The module
-is imported as it is, without writing anything under ``perfbench/``.
+construction (planted identities, non-identities, structural zeros, the
+residual identities of the symbolic scan, and conserved integrals whose
+values are known) and checks each result against them.  Running the first
+blocks of a few seeds here catches a zero test or a numeric check that
+answers wrongly on some inputs before the benchmark does, and it exercises
+the API the benchmark calls (``expr.Poly``, ``CharacteristicSolution``,
+``instantiate``).  The tracer's targets must resolve too, or a traced run
+cannot install.  Both modules are imported as they are, without writing
+anything under ``perfbench/``.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
 import sys
 from pathlib import Path
@@ -19,26 +24,46 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def _import_perfbench(name: str):
     saved = sys.dont_write_bytecode
     sys.path.insert(0, str(PERFBENCH))
     sys.dont_write_bytecode = True
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = saved
         sys.path.remove(str(PERFBENCH))
-    return workloads.WORKLOADS
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _import_perfbench("workloads").WORKLOADS
+
+
+def _run_blocks(workload, seed: int, blocks: int) -> None:
+    rng = random.Random(seed)
+    for _ in range(blocks):
+        for item in workload.make_blocks(rng):
+            prepared = workload.prepare(item)
+            result = workload.run(prepared)
+            assert workload.check(item, prepared, result), (item.kind, item.data)
 
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("name", ["symbolic-scan", "identity-certify"])
 def test_zero_test_workloads_pass_their_known_answer_checks(workloads, name, seed):
-    workload = workloads[name]
-    rng = random.Random(seed)
-    for _ in range(2):
-        for item in workload.make_blocks(rng):
-            prepared = workload.prepare(item)
-            result = workload.run(prepared)
-            assert workload.check(item, prepared, result), (item.kind, item.data)
+    _run_blocks(workloads[name], seed, blocks=2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_numeric_transport_passes_its_known_answer_checks(workloads, seed):
+    _run_blocks(workloads["numeric-transport"], seed, blocks=1)
+
+
+def test_every_tracer_target_resolves_in_the_package():
+    tracer = _import_perfbench("tracer")
+    for modname, attr, _ in tracer.TARGETS:
+        module = importlib.import_module(tracer.PACKAGE + "." + modname)
+        owner, _, name = attr.rpartition(".")
+        namespace = vars(getattr(module, owner)) if owner else vars(module)
+        assert name in namespace, (modname, attr)

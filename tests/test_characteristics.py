@@ -16,9 +16,11 @@ from lieconserve.characteristics import (CharacteristicSolution,
                                          sine_profile, spline_bump_profile,
                                          verify_law)
 from lieconserve.conservation import burgers_claw_catalog
-from lieconserve.expr import (EvaluationError, Func, JetPoint, Poly, Pow, T,
-                              U, U_X, X, ZERO, evaluate, instantiate, parse,
-                              poly_from_expr)
+from lieconserve.expr import (DEFAULT_TABLE, EvaluationError, Func, JetPoint,
+                              Poly, Pow, T, U, U_X, W, X, ZERO, diff,
+                              evaluate, instantiate, parse, polynomial_terms,
+                              substitute)
+from lieconserve.expr.evaluate import _walk
 from lieconserve.jet_calculus import EvolutionSpec, on_solution_reduce
 
 IDENT = Poly({(1,): Fraction(1)})        # a(u) = u
@@ -187,7 +189,7 @@ def test_smooth_transport_conserves_every_u_integral():
 @pytest.mark.parametrize("speed", ["u", "u + u^3/3"])
 def test_array_evaluation_matches_pointwise_evaluation_bit_for_bit(speed):
     spec = EvolutionSpec.quasilinear(Func("a", (U,)), ZERO)
-    functions = {"a": poly_from_expr(parse(speed))}
+    functions = {"a": substitute(parse(speed), {U: W})}
     rng = np.random.default_rng(11)
     t = 0.37
     xs = rng.uniform(-3.0, 3.0, 200)
@@ -207,6 +209,39 @@ def test_array_evaluation_matches_pointwise_evaluation_bit_for_bit(speed):
             for x, u, ux, got in zip(xs, us, uxs, batch):
                 want, scale = exact_value(e, {T: t, X: x, U: u, U_X: ux})
                 assert abs(got - want) <= 16 * EPS * (1.0 + scale), (label, e)
+
+
+def test_symbolic_and_numeric_instantiation_agree_on_the_catalog():
+    # instantiate-then-evaluate expands the polynomial symbolically; a
+    # JetPoint's functions evaluate a(u) numerically, then combine
+    spec = EvolutionSpec.quasilinear(Func("a", (U,)), ZERO)
+    functions = {"a": Poly({(1,): Fraction(1), (3,): Fraction(1, 3)})}
+    rng = np.random.default_rng(7)
+    values = {T: 0.37, X: rng.uniform(-3.0, 3.0, 200),
+              U: rng.uniform(0.1, 2.0, 200) * rng.choice((-1.0, 1.0), 200),
+              U_X: rng.uniform(-2.0, 2.0, 200)}
+    for label, cv in burgers_claw_catalog():
+        for part in (cv.c0, cv.c1):
+            e = on_solution_reduce(part, spec)
+            numeric, scale, _ = _walk(e, values, DEFAULT_TABLE, functions)
+            symbolic = evaluate(instantiate(e, functions), JetPoint(values))
+            assert np.all(np.abs(symbolic - numeric) <= 8 * EPS * (1.0 + scale)), label
+
+
+@pytest.mark.parametrize("speed", ["u", "u + u^3/3", "2 + u^2",
+                                   "u^5/7 - 3*u^2 + 1/3"])
+def test_wave_speed_evaluation_agrees_with_exact_rationals(speed):
+    a = substitute(parse(speed), {U: W})
+    sol = CharacteristicSolution(a, sine_profile(), (0.0, TWO_PI))
+    points = [Fraction(k, 64) for k in range(-160, 161)]   # exact as floats
+    got = sol._a(np.array(points, dtype=float))
+    got_slope = sol._da(np.array(points, dtype=float))
+    for p, evaluated in ((a, got), (diff(a, W), got_slope)):
+        terms = polynomial_terms(p, W)
+        for x, value in zip(points, evaluated):
+            want = sum(Fraction(c) * x ** k for k, c in terms)
+            scale = sum(abs(Fraction(c) * x ** k) for k, c in terms)
+            assert abs(value - float(want)) <= 4 * EPS * float(scale), (speed, x)
 
 
 def exact_value(e, values) -> tuple[float, float]:
@@ -254,13 +289,13 @@ def test_array_evaluation_keeps_pole_and_domain_checks():
 ])
 def test_characteristic_feet_solve_the_implicit_equation_to_rounding(
         speed, profile, domain, boundary):
-    a = poly_from_expr(parse(speed))
+    a = substitute(parse(speed), {U: W})
     sol = CharacteristicSolution(a, profile, domain, boundary)
     t = sol.horizon()                    # 0.95 t*
     xs = np.linspace(domain[0], domain[1], 2049)
     xi, u = sol._feet(xs, t)
     assert np.array_equal(u, profile(xi))
-    residual = np.abs(xi + a(profile(xi)) * t - xs)
+    residual = np.abs(xi + evaluate(a, JetPoint({W: profile(xi)})) * t - xs)
     assert np.all(residual <= 8.0 * EPS * (1.0 + np.abs(xs)))
 
 
@@ -313,7 +348,7 @@ def test_conserved_integral_checks_the_time_itself():
 def test_sine_energy_is_half_pi_to_rounding_up_to_the_horizon(speed, nodes):
     # on the foot grid the integrand is a smooth periodic function of xi,
     # so Simpson is exact to rounding however steep the profile in x
-    a = poly_from_expr(parse(speed))
+    a = substitute(parse(speed), {U: W})
     sol = CharacteristicSolution(a, sine_profile(), (0.0, TWO_PI))
     times = [f * sol.shock_time for f in (0.2, 0.5, 0.8)] + [sol.horizon()]
     report = verify_law(sol, parse("u^2/2"), instantiate(parse("A(u)"), {"a": a}),

@@ -13,12 +13,13 @@ from conftest import CORPUS, STANDARD_POLYS, bound_point, parsed_corpus
 from lieconserve.expr import (Const, DEFAULT_TABLE, EvaluationError,
                               ExprError, ExprSyntaxError, FunctionDef,
                               InconclusiveZeroTest, Jet, JetPoint, ONE, Poly,
-                              SeedError, U, U_X, UnknownSymbolError, X, ZERO,
-                              ZeroTestConfig, build_default_table, diff,
+                              SeedError, U, U_X, UnknownSymbolError, W, X,
+                              ZERO, ZeroTestConfig, build_default_table, diff,
                               evaluate, free_symbols, function_names,
-                              instantiate, is_zero, normalize, parse,
-                              poly_from_expr, poly_to_expr, power,
-                              resolve_instantiations, to_text)
+                              instantiate, integrate, is_zero, normalize,
+                              parse, polynomial_function, polynomial_terms,
+                              power, resolve_instantiations, substitute,
+                              to_text)
 from lieconserve.expr.evaluate import _walk
 from lieconserve.expr.tree import cleared_numerator
 
@@ -94,6 +95,22 @@ def test_partial_symbols_of_multivariate_functions_follow_from_their_names():
     assert table.names() == before
     with pytest.raises(UnknownSymbolError):
         parse("f_d3(u, x)", table)
+
+
+def test_function_symbols_of_two_arguments_are_refused_not_sampled():
+    # an instantiation is a polynomial in one variable; fitted to f(x, u) it
+    # dropped the second argument, and f(x, u) - f(x, x) sampled as zero
+    table = build_default_table().extended(FunctionDef("f", arity=2))
+    e = parse("f(x, u) - f(x, x)", table)
+    message = "function symbol f has 2 arguments"
+    with pytest.raises(EvaluationError, match=message):
+        is_zero(e, table=table)
+    with pytest.raises(EvaluationError, match="function symbol f_d2 has 2"):
+        is_zero(diff(e, U, table), table=table)
+    with pytest.raises(EvaluationError, match=message):
+        evaluate(e, JetPoint({X: 0.5, U: 1.5}, {"f": W}), table)
+    with pytest.raises(EvaluationError, match=message):
+        instantiate(e, {"f": W}, table)
 
 
 @pytest.mark.parametrize("text,message,position", [
@@ -356,12 +373,33 @@ def test_is_zero_skips_values_past_the_float_range():
 
 def test_poly_round_trip_and_rejections():
     e = parse("u^3/3 + 2*u")
-    p = poly_from_expr(e)
-    assert poly_to_expr(p, (U,)) == e
-    assert p(3.0) == pytest.approx(15.0)
+    assert sorted(polynomial_terms(e, U)) == [(1, 2), (3, Fraction(1, 3))]
+    p = substitute(e, {U: W})
+    assert p == Poly({(3,): Fraction(1, 3), (1,): Fraction(2)})
+    assert substitute(p, {W: U}) == e
+    assert polynomial_function(p)(3.0) == pytest.approx(15.0)
+    assert evaluate(p, JetPoint({W: 3.0})) == pytest.approx(15.0)
     for bad in ("a(u)", "u^(1/2)", "1/u", "u*t"):
-        with pytest.raises(Exception):
-            poly_from_expr(parse(bad))
+        with pytest.raises(ExprError, match="not a polynomial in u"):
+            polynomial_terms(parse(bad), U)
+
+
+def test_function_symbols_evaluate_to_the_same_bits_singly_and_in_batches():
+    functions = {"a": Poly({(1,): 1, (3,): Fraction(1, 3), (5,): Fraction(-2, 7)})}
+    us = np.random.default_rng(3).uniform(-2.0, 2.0, 101)
+    for text in ("a(u)", "A(u)/a'(u)", "a'(u)*u + a(u)^3", "a''(u)"):
+        e = parse(text)
+        batch = evaluate(e, JetPoint({U: us}, functions))
+        single = [evaluate(e, JetPoint({U: float(u)}, functions)) for u in us]
+        assert np.array_equal(batch, np.array(single)), text
+
+
+def test_integrate_takes_any_symbol_and_leaves_other_jets_as_coefficients():
+    assert integrate(parse("u_x*u + 1/x"), U) == parse("u_x*u^2/2 + u/x")
+    assert integrate(Poly({(0,): 2, (2,): 1}), W) == Poly({(1,): 2, (3,): Fraction(1, 3)})
+    assert integrate(ZERO, W) == ZERO
+    with pytest.raises(ExprError):
+        integrate(parse("u"), parse("a(u)"))
 
 
 def test_instantiate_substitutes_polynomials_for_function_symbols():

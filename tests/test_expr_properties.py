@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 
 from conftest import STANDARD_POLYS
 from lieconserve.expr import (DEFAULT_TABLE, ExprError, ExprSyntaxError,
-                              JetPoint, ZERO, diff, evaluate, is_zero, parse,
-                              poly_from_expr, resolve_instantiations, to_text)
+                              Func, JetPoint, T, U, W, X, ZERO, add, diff,
+                              evaluate, integrate, is_zero, mul, parse,
+                              polynomial_function, polynomial_terms, power,
+                              resolve_instantiations, substitute, to_text)
 from lieconserve.expr.tree import cleared_numerator
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -37,7 +39,7 @@ EXPONENTS = tuple(Fraction(q) for q in ("-2", "-1", "2", "3", "1/2", "3/2", "-1/
 _MARGIN = 0.2
 
 FUNCS = resolve_instantiations({"a", "A", "q"}, STANDARD_POLYS, DEFAULT_TABLE)
-FUNCS["a'"] = FUNCS["a"].derivative()
+FUNCS["a'"] = diff(FUNCS["a"], W)
 
 
 class Undefined(Exception):
@@ -93,8 +95,8 @@ def reference(node, values) -> tuple[float, float]:
     if op == "call":
         v, m = reference(node[2], values)
         p = FUNCS[node[1]]
-        bound = sum(abs(float(c)) * m ** k for (k,), c in p.coeffs.items())
-        return p(v), bound
+        bound = sum(abs(float(c)) * m ** k for k, c in polynomial_terms(p, W))
+        return polynomial_function(p)(v), bound
     if op == "^":
         v, m = reference(node[1], values)
         q = node[2]
@@ -186,12 +188,37 @@ def _polynomial_ops(children):
 def test_polynomial_normal_form_matches_sympy_expand(tree):
     sympy = pytest.importorskip("sympy")
     source = text(tree)
-    ours = poly_from_expr(parse(source), ("t", "x", "u")).coeffs
+    ours = {}
+    for mono, c in parse(source).terms.items():
+        powers = dict(mono)
+        assert set(powers) <= {T, X, U} and min(powers.values(), default=1) > 0
+        ours[tuple(powers.get(s, 0) for s in (T, X, U))] = Fraction(c)
     t, x, u = sympy.symbols("t x u")
     expanded = sympy.expand(sympy.sympify(source.replace("^", "**")))
     theirs = {k: Fraction(int(c.p), int(c.q))
               for k, c in sympy.Poly(expanded, t, x, u).as_dict().items() if c != 0}
     assert ours == theirs, source
+
+
+def coefficient_polynomials(sym):
+    """Polynomials in sym of degree <= 3 whose coefficients are small
+    integers times monomials in x and a(x)."""
+    ax = Func("a", (X,))
+    term = st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(0, 3),
+                     st.integers(0, 2), st.integers(0, 2))
+    return st.lists(term, min_size=1, max_size=5).map(
+        lambda terms: add(*(mul(c, power(sym, i), power(X, j), power(ax, k))
+                            for c, i, j, k in terms)))
+
+
+@SETTINGS
+@given(st.sampled_from((U, W)).flatmap(
+    lambda s: st.tuples(st.just(s), coefficient_polynomials(s))))
+def test_integrate_is_inverted_by_diff(case):
+    sym, e = case
+    anti = integrate(e, sym)
+    assert diff(anti, sym) == e, to_text(e)
+    assert substitute(anti, {sym: ZERO}) == ZERO, to_text(e)
 
 
 # ---------------------------------------------------------------------------
