@@ -76,7 +76,7 @@ def classify(spec: EvolutionSpec,
     def zero(e: Expr) -> bool:
         return e == ZERO or is_zero(e, config, table).zero
 
-    parts = spec.linear_parts()
+    parts = spec.linear_parts(config)
     if parts is None:
         return AdjointnessVerdict(
             NOT_QUASI_SELF_ADJOINT, None, None,

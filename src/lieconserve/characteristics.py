@@ -10,15 +10,20 @@ is as smooth as the initial profile however steep the solution is in x;
 only the ends of the domain are inverted.  Laws are verified either
 through Q-constancy (periodic, x,t-free flux) or through the flux balance
 dQ/dt + C1(x_hi) - C1(x_lo) = 0.
+
+numpy is imported by the functions that compute, not by this module, so
+symbolic work that imports the package never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .expr import (Expr, Param, T, U, U_X, W, X, as_expr, diff, evaluate,
                    free_symbols, polynomial_function, JetPoint, FunctionTable,
@@ -29,7 +34,7 @@ _SHOCK_GRID = 4096
 _ZOOM_PASSES = 8       # each pass shrinks the bracket 32-fold
 _ZOOM_POINTS = 65
 _NEWTON_CAP = 100      # a bisection fallback halves the bracket each time
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 MAX_NODES = 2 ** 20
 
 
@@ -53,6 +58,7 @@ class InitialProfile:
 
 
 def sine_profile(amplitude: float = 1.0, shift: float = 0.0) -> InitialProfile:
+    import numpy as np
     amp = float(amplitude)
     off = float(shift)
     return InitialProfile(lambda xi: off + amp * np.sin(xi),
@@ -61,6 +67,7 @@ def sine_profile(amplitude: float = 1.0, shift: float = 0.0) -> InitialProfile:
 
 def gaussian_profile(amplitude: float = 1.0, center: float = 0.0,
                      width: float = 1.0) -> InitialProfile:
+    import numpy as np
     amp, c, w = float(amplitude), float(center), float(width)
 
     def f(xi):
@@ -76,6 +83,7 @@ def spline_bump_profile(amplitude: float = 1.0, center: float = 0.0,
                         halfwidth: float = 1.0) -> InitialProfile:
     """Cubic B-spline kernel bump, compactly supported on
     |x - center| <= 2*halfwidth, C^2 everywhere, max slope amplitude/halfwidth."""
+    import numpy as np
     amp, c, h = float(amplitude), float(center), float(halfwidth)
 
     def f(xi):
@@ -113,6 +121,7 @@ def _shock_scan(da, u0: InitialProfile,
                 domain: tuple[float, float]) -> tuple[float, np.ndarray]:
     """(t*, u0 on the dense grid) for the wave-speed derivative da as a
     float function; the grid values serve the caller too."""
+    import numpy as np
     lo, hi = float(domain[0]), float(domain[1])
 
     def slope(xi, u):
@@ -157,6 +166,7 @@ class CharacteristicSolution:
     shock_time: float = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
         if self.boundary not in ("periodic", "compact"):
             raise ValueError("boundary must be 'periodic' or 'compact'")
         lo, hi = self.domain
@@ -185,6 +195,7 @@ class CharacteristicSolution:
         componentwise by Newton's method safeguarded by a guaranteed
         bracket.  A Newton step that leaves its row's bracket is replaced
         by the bracket midpoint."""
+        import numpy as np
         if t == 0.0:
             return xs.copy(), self.u0(xs)
 
@@ -235,6 +246,7 @@ class CharacteristicSolution:
 
     def solve_many(self, xs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(u, u_x) arrays at fixed time along the given x samples."""
+        import numpy as np
         self._check_time(t)
         xs = np.asarray(xs, dtype=float)
         xi, u = self._feet(xs, t)
@@ -243,7 +255,7 @@ class CharacteristicSolution:
         return u, du / denom
 
     def solve_at(self, x: float, t: float) -> tuple[float, float]:
-        u, ux = self.solve_many(np.asarray([float(x)]), t)
+        u, ux = self.solve_many([float(x)], t)
         return float(u[0]), float(ux[0])
 
 
@@ -280,6 +292,7 @@ def conserved_integral(sol: CharacteristicSolution, density, t: float,
     float and x, u, u_x arrays over all nodes (x is not uniform for
     t > 0); it returns an array of their shape (or a constant).  nodes
     counts subintervals: even, at least 64 and at most MAX_NODES."""
+    import numpy as np
     if nodes < 64 or nodes % 2:
         raise ValueError("nodes must be even and at least 64")
     if nodes > MAX_NODES:
@@ -331,6 +344,7 @@ def verify_law(sol: CharacteristicSolution, c0: Expr, c1: Expr,
     Q-constancy; anything else uses the flux balance with a centered
     dQ/dt.  Times past the pre-shock horizon are rejected.
     """
+    import numpy as np
     times = tuple(float(t) for t in times)
     for t in times:
         if not math.isfinite(t):

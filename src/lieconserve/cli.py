@@ -269,8 +269,8 @@ def cmd_verify(args) -> int:
     cfg = zero_config_from(args)
     report = _blank_report()
     lines = ["generator: %s" % gen]
-    if spec.linear_parts() is not None:
-        residuals = determining_residual_pair(spec, gen)
+    if spec.linear_parts(cfg) is not None:
+        residuals = determining_residual_pair(spec, gen, cfg)
         labels = ("R1", "R2")
     else:
         residuals = (determining_residual_generic(spec, gen),)

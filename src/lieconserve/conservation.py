@@ -81,7 +81,7 @@ def build_vector_self(spec: EvolutionSpec, g: Generator,
         raise NotSelfAdjointError(verdict)
     table = verdict.table
     phi = verdict.phi if phi is None else as_expr(phi)
-    alpha, beta = spec.linear_parts()
+    alpha, beta = spec.linear_parts(config)
     drift = add(mul(g.tau, alpha), neg(g.xi))
     c0 = mul(add(g.eta, mul(g.tau, beta), mul(drift, U_X)), phi)
     c1 = mul(add(mul(g.eta, alpha), mul(g.xi, beta),

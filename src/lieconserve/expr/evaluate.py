@@ -6,8 +6,10 @@ evaluate as true derivatives of the instantiated polynomial, so identities
 that hold for arbitrary smooth choices can be probed by sampling.
 ``evaluate`` takes floats or numpy arrays for the symbols.  ``is_zero``
 answers structural zeros and zero numerators after clearing denominators
-exactly, and otherwise samples jet points, in batches, from a box that
-excludes a neighbourhood of zero.
+exactly, and otherwise samples jet points from a box that excludes a
+neighbourhood of zero: one point in Python floats, then a numpy batch.
+numpy is imported only for a batch or a numeric evaluation, so symbolic
+work whose first points settle it never loads it.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .derive import diff
 from .functions import DEFAULT_TABLE, FunctionDef, FunctionTable
@@ -68,7 +73,8 @@ def polynomial_function(p: Expr):
         acc = 0.0
         for k, c in terms:
             acc = acc + (c * x ** k if k else c)
-        if isinstance(x, np.ndarray) and np.ndim(acc) == 0:
+        np = sys.modules.get("numpy")       # an array means numpy is loaded
+        if np is not None and isinstance(x, np.ndarray) and np.ndim(acc) == 0:
             acc = np.full_like(x, acc, dtype=float)
         return acc
 
@@ -172,7 +178,9 @@ def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
     past the float range raises ExprError; a value that overflows becomes
     inf or nan.
     """
-    batch = any(isinstance(v, np.ndarray) for v in values.values())
+    np = sys.modules.get("numpy")           # an array means numpy is loaded
+    batch = np is not None and any(isinstance(v, np.ndarray)
+                                   for v in values.values())
     peak, power = (np.maximum, np.power) if batch else (max, _float_pow)
     scale = 0.0
     poles = False
@@ -207,7 +215,8 @@ def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
         if a not in values:
             raise EvaluationError("unbound symbol", a)
         v = values[a]
-        return np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v)
+        return (np.asarray(v, dtype=float) if batch and isinstance(v, np.ndarray)
+                else float(v))
 
     def go(n: Expr):
         nonlocal scale
@@ -252,6 +261,7 @@ def evaluate(e: Expr, point: JetPoint,
     point in any batch.  A function symbol of more than one argument raises
     EvaluationError.
     """
+    import numpy as np
     table = table if table is not None else DEFAULT_TABLE
     values = point.values
     single = not any(isinstance(v, np.ndarray) for v in values.values())
@@ -319,8 +329,12 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
     numerator that is structurally zero ("cleared") proves e zero exactly
     wherever every cleared denominator is nonzero, that is, wherever e is
     defined.  Otherwise ("sampled") e is evaluated at random jet points for
-    every combination of function instantiations: one point first, then the
-    rest of the combination's samples as one batch.  A value exceeding
+    every combination of function instantiations: one point first, drawn
+    from ``random.Random(seed)`` and evaluated in Python floats, then the
+    rest of the combination's samples as one numpy batch.  The batches draw
+    from one numpy generator seeded from that stream at the first batch, so
+    the seed fixes every draw, and numpy is imported only when a batch is
+    needed.  A value exceeding
     ``tol*(1 + largest subterm)`` yields a nonzero verdict with a witness;
     ``samples_used`` counts the points evaluated up to and including it.
     A point that hits a pole, or whose value overflows to inf or nan, is
@@ -352,39 +366,61 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
     choice_lists = [list(cfg.instantiations.get(n, cfg.default_set))
                     for n in independent]
 
-    rng = np.random.default_rng(cfg.resolved_seed())
+    rng = random.Random(cfg.resolved_seed())
+    batch_rng = None            # numpy's, seeded from rng at the first batch
     lo, hi = cfg.box
     used = skipped = 0
 
     combos = list(itertools.product(*choice_lists)) if independent else [()]
-    # an overflow is skipped below, like a pole, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        for combo in combos:
-            given = dict(zip(independent, combo))
-            functions = resolve_instantiations(base_names, given, table)
-            # one float point, which settles most nonzero cases, then the rest
-            for size in filter(None, (min(cfg.samples, 1), max(cfg.samples - 1, 0))):
-                points = (rng.uniform(lo, hi, size=(size, len(symbols)))
-                          * rng.choice((-1.0, 1.0), size=(size, len(symbols))))
-                columns = points.T if size > 1 else [float(v) for v in points[0]]
-                try:
-                    val, scale, poles = _walk(e, dict(zip(symbols, columns)),
-                                              table, functions, mask=True)
-                except EvaluationError:
-                    val, scale, poles = 0.0, 0.0, True
-                defined = ~np.broadcast_to(poles | ~np.isfinite(val), (size,))
-                over = defined & (np.abs(val) > cfg.tolerance * (1.0 + scale))
-                if over.any():
-                    i = int(over.argmax())
-                    values = {s: float(v) for s, v in zip(symbols, points[i])}
-                    here = int(defined[:i + 1].sum())
-                    return ZeroVerdict(
-                        zero=False, witness=JetPoint(values, functions),
-                        witness_value=float(np.broadcast_to(val, (size,))[i]),
-                        samples_used=used + here,
-                        samples_skipped=skipped + i + 1 - here)
-                used += int(defined.sum())
-                skipped += size - int(defined.sum())
+    for combo in combos if cfg.samples > 0 else ():
+        given = dict(zip(independent, combo))
+        functions = resolve_instantiations(base_names, given, table)
+        # one point in Python floats, which settles most nonzero cases
+        point = {s: rng.choice((-1.0, 1.0)) * rng.uniform(lo, hi)
+                 for s in symbols}
+        try:
+            val, scale, _ = _walk(e, point, table, functions)
+        except EvaluationError:
+            val = math.nan
+        if not math.isfinite(val):
+            skipped += 1
+        elif abs(val) > cfg.tolerance * (1.0 + scale):
+            return ZeroVerdict(zero=False, witness=JetPoint(point, functions),
+                               witness_value=val, samples_used=used + 1,
+                               samples_skipped=skipped)
+        else:
+            used += 1
+        if cfg.samples == 1:
+            continue
+
+        # then the rest of the combo's samples as one numpy batch
+        import numpy as np
+        if batch_rng is None:
+            batch_rng = np.random.default_rng(rng.getrandbits(64))
+        size = cfg.samples - 1
+        shape = (size, len(symbols))
+        # an overflow is skipped below, like a pole, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = (batch_rng.uniform(lo, hi, size=shape)
+                      * batch_rng.choice((-1.0, 1.0), size=shape))
+            try:
+                val, scale, poles = _walk(e, dict(zip(symbols, points.T)),
+                                          table, functions, mask=True)
+            except EvaluationError:
+                val, scale, poles = 0.0, 0.0, True
+            defined = ~np.broadcast_to(poles | ~np.isfinite(val), (size,))
+            over = defined & (np.abs(val) > cfg.tolerance * (1.0 + scale))
+        if over.any():
+            i = int(over.argmax())
+            values = {s: float(v) for s, v in zip(symbols, points[i])}
+            here = int(defined[:i + 1].sum())
+            return ZeroVerdict(
+                zero=False, witness=JetPoint(values, functions),
+                witness_value=float(np.broadcast_to(val, (size,))[i]),
+                samples_used=used + here,
+                samples_skipped=skipped + i + 1 - here)
+        used += int(defined.sum())
+        skipped += size - int(defined.sum())
     if used == 0:
         raise InconclusiveZeroTest(
             "all %d samples hit poles or overflowed while testing %s" % (skipped, e))

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .expr import (DEFAULT_TABLE, Expr, ExprError, FunctionTable, Jet,
-                   JetDepthError, Param, U, U_T, U_X, V, ZERO, add, as_expr,
-                   diff, free_symbols, is_zero, max_jet_order, mul, neg,
-                   substitute)
+                   JetDepthError, Param, U, U_T, U_X, V, ZERO, ZeroTestConfig,
+                   add, as_expr, diff, free_symbols, is_zero, max_jet_order,
+                   mul, neg, substitute)
 from .expr.tree import MAX_JET_ORDER
 
 T_SYM = Jet("t")
@@ -86,13 +86,15 @@ class EvolutionSpec:
         """What u_t equals on solutions."""
         return neg(self.f)
 
-    def linear_parts(self) -> Optional[tuple[Expr, Expr]]:
+    def linear_parts(self, config: ZeroTestConfig | None = None
+                     ) -> Optional[tuple[Expr, Expr]]:
         """(alpha, beta) with f = alpha*u_x + beta, or None if f is not
-        linear in u_x.  Coefficients must come out free of u_x."""
+        linear in u_x; config is the zero test's, for the u_x-curvature.
+        Coefficients must come out free of u_x."""
         if self.alpha is not None:
             return self.alpha, self.beta
         curvature = diff(diff(self.f, U_X, self.table), U_X, self.table)
-        if curvature != ZERO and not is_zero(curvature, table=self.table).zero:
+        if curvature != ZERO and not is_zero(curvature, config, self.table).zero:
             return None
         alpha = diff(self.f, U_X, self.table)
         if any(isinstance(s, Jet) and s.field == "u" and s.nx > 0

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .expr import (DEFAULT_TABLE, Expr, Func, FunctionTable, Jet, ONE, T, U,
-                   U_T, U_TT, U_X, U_XT, U_XX, X, ZERO, add, as_expr, diff,
-                   free_symbols, mul, neg, power, to_text)
+                   U_T, U_TT, U_X, U_XT, U_XX, X, ZERO, ZeroTestConfig, add,
+                   as_expr, diff, free_symbols, mul, neg, power, to_text)
 from .jet_calculus import EvolutionSpec, SpecError, on_solution_reduce, total_derivative
 
 
@@ -87,10 +87,13 @@ def determining_residual_generic(spec: EvolutionSpec, g: Generator) -> Expr:
     )
 
 
-def determining_residual_pair(spec: EvolutionSpec, g: Generator) -> tuple[Expr, Expr]:
+def determining_residual_pair(spec: EvolutionSpec, g: Generator,
+                              config: ZeroTestConfig | None = None
+                              ) -> tuple[Expr, Expr]:
     """The split residuals (R1, R2) for f = alpha*u_x + beta; the generic
-    residual equals R1 + u_x*R2, and g is a symmetry iff both vanish."""
-    parts = spec.linear_parts()
+    residual equals R1 + u_x*R2, and g is a symmetry iff both vanish.
+    config is the zero test's, for deciding that f is linear in u_x."""
+    parts = spec.linear_parts(config)
     if parts is None:
         raise SpecError("split residuals need f linear in u_x")
     alpha, beta = parts

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 # One line per acceptance scenario, echoed after the run (see the
 # pytest_terminal_summary hook at the bottom).
@@ -88,6 +92,17 @@ def random_poly_expr(rng: random.Random,
                 term = term * parse(name)
         acc = acc + term
     return normalize(acc)
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python ARGS...`` in a fresh interpreter that imports this
+    checkout's package, so modules loaded by other tests do not count."""
+    import lieconserve
+    src = str(Path(lieconserve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

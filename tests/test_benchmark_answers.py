@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fresh_python
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -67,3 +69,19 @@ def test_every_tracer_target_resolves_in_the_package():
         owner, _, name = attr.rpartition(".")
         namespace = vars(getattr(module, owner)) if owner else vars(module)
         assert name in namespace, (modname, attr)
+
+
+@pytest.mark.parametrize("entry", ["lieconserve", "lieconserve.cli"])
+def test_the_tracer_installs_after_importing_only_the_entry_module(entry):
+    # the worker imports the package, and the traced CLI child only the CLI,
+    # before installing; every target module must then be loaded already,
+    # and none of them may have pulled in numpy
+    script = ("import sys\n"
+              "sys.path.insert(0, %r)\n"
+              "import %s\n"
+              "from tracer import Tracer\n"
+              "Tracer().install()\n"
+              "print('installed', 'numpy' in sys.modules)" % (str(PERFBENCH), entry))
+    proc = fresh_python("-B", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "installed False"

@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import lieconserve
+from conftest import fresh_python
 from lieconserve.cli import main
 
 PI_TEXT = "%.15f" % (2.0 * math.pi)
@@ -34,6 +30,25 @@ def test_classify_not_quasi_exits_two(capsys):
     code, out, _ = run(capsys, "classify", "--alpha", "u", "--beta", "u^2")
     assert code == 2
     assert "not-quasi-self-adjoint" in out
+
+
+# The u_x-curvature u/500000000000 of this flux is below the default
+# zero-test tolerance at every sample, but not below 1e-15.
+CURVED_FLUX = ("--f", "u_x^2*u/10^12 + u*u_x")
+
+
+def test_zero_test_flags_reach_the_u_x_linearity_check(capsys):
+    code, out, _ = run(capsys, "classify", *CURVED_FLUX, "--zt-tol", "1e-15")
+    assert code == 2
+    assert "verdict: not-quasi-self-adjoint" in out
+    code, out, _ = run(capsys, "verify", *CURVED_FLUX, "--tau", "1",
+                       "--zt-tol", "1e-15")
+    assert code == 0
+    assert out.splitlines()[1] == "R = 0  zero"     # the generic residual
+    # at the default tolerance the curvature counts as zero, as before
+    code, _, err = run(capsys, "classify", *CURVED_FLUX)
+    assert code == 1
+    assert "cannot isolate the u_x coefficient" in err
 
 
 def test_classify_inconclusive_exits_three(capsys):
@@ -129,7 +144,7 @@ def test_claw_numeric_run_reports_the_conserved_value(capsys, tmp_path):
 
 
 def test_numeric_claw_runs_without_scipy():
-    # a fresh interpreter, so modules loaded by other tests do not count
+    # numpy is imported on first numeric use; scipy never is
     script = (
         "import sys\n"
         "from lieconserve.cli import main\n"
@@ -137,15 +152,54 @@ def test_numeric_claw_runs_without_scipy():
         "             '--a', 'u', '--numeric', 'sin', '--domain', '0', %r,\n"
         "             '--times', '0.25', '0.5', '0.75', '0.9',\n"
         "             '--nodes', '2048'])\n"
-        "print(code, sorted(m for m in sys.modules\n"
-        "                   if m.split('.')[0] == 'scipy'))\n" % PI_TEXT)
-    src = str(Path(lieconserve.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+        "print(code, 'numpy' in sys.modules, sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'scipy'))\n" % PI_TEXT)
+    proc = fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"    # exit code, scipy modules
+    # exit code, numpy loaded, scipy modules
+    assert proc.stdout.splitlines()[-1] == "0 True []"
+
+
+# Symbolic commands, with their exit codes; the second verify finds a
+# nonzero residual, so it samples and prints a witness.
+SYMBOLIC_COMMANDS = [
+    (["classify", "--alpha", "2*x", "--beta", "u"], 0),
+    (["verify", "--builtin", "burgers", "--generator", "X5"], 0),
+    (["verify", "--builtin", "burgers", "--eta", "u"], 2),
+    (["claw", "--builtin", "burgers", "--catalog", "l3"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", SYMBOLIC_COMMANDS)
+def test_symbolic_commands_run_without_numpy(argv, code):
+    script = ("import sys\n"
+              "from lieconserve.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, sorted(m for m in sys.modules\n"
+              "                   if m.split('.')[0] == 'numpy'))\n")
+    proc = fresh_python("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "%d []" % code
+    if code == 2:
+        assert "NONZERO at" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    # the witness is the first point, drawn in Python floats
+    ("-m", "lieconserve.cli", "verify", "--builtin", "burgers", "--eta", "u",
+     "--seed", "11"),
+    # the first point has u < 0 and is skipped; the witness comes from the
+    # numpy batch, whose generator is seeded from the Python stream
+    ("-c", "from lieconserve.expr import ZeroTestConfig, is_zero, parse\n"
+           "v = is_zero(parse(\"a'(u)*u^(1/2) - a(u)\"), ZeroTestConfig(seed=3))\n"
+           "assert v.samples_used + v.samples_skipped > 1\n"
+           "print(v.describe(), repr(v.witness_value))"),
+])
+def test_a_seed_fixes_the_witness_across_interpreters(args):
+    runs = [fresh_python(*args) for _ in range(2)]
+    assert runs[0].returncode == runs[1].returncode
+    assert "nonzero" in runs[0].stdout.lower(), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_json_format_prints_the_report_to_stdout(capsys):

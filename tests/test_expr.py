@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -265,27 +266,36 @@ def test_a_combo_whose_denominator_vanishes_is_skipped_whole():
 
 def per_point_verdict(e, seed: int):
     """The zero test's sampling as a loop over single points, with the same
-    draws: the reference for the batched test.  Opaque functions: a only."""
+    draws: the reference for the batched test.  Per combo the first point
+    comes from random.Random(seed), sign then magnitude per symbol, and the
+    rest from one numpy generator seeded with that stream's next 64 bits at
+    the first batch.  Opaque functions: a only."""
     cfg = ZeroTestConfig(seed=seed)
     symbols = sorted(free_symbols(e), key=str)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
+    batch_rng = None
     used = skipped = 0
     for poly in cfg.default_set if function_names(e) else [None]:
         functions = ({} if poly is None
                      else resolve_instantiations({"a"}, {"a": poly}, DEFAULT_TABLE))
-        for size in (1, cfg.samples - 1):
-            shape = (size, len(symbols))
-            points = rng.uniform(*cfg.box, size=shape) * rng.choice((-1.0, 1.0), size=shape)
-            for row in points:
-                values = dict(zip(symbols, map(float, row)))
-                try:
-                    val, scale, _ = _walk(e, values, DEFAULT_TABLE, functions)
-                except EvaluationError:
-                    skipped += 1
-                    continue
-                used += 1
-                if abs(val) > cfg.tolerance * (1.0 + scale):
-                    return values, val, used, skipped
+        first = [[rng.choice((-1.0, 1.0)) * rng.uniform(*cfg.box) for _ in symbols]]
+        if batch_rng is None:
+            batch_rng = np.random.default_rng(rng.getrandbits(64))
+        shape = (cfg.samples - 1, len(symbols))
+        rest = (batch_rng.uniform(*cfg.box, size=shape)
+                * batch_rng.choice((-1.0, 1.0), size=shape))
+        for row in first + list(rest):
+            values = dict(zip(symbols, map(float, row)))
+            try:
+                val, scale, _ = _walk(e, values, DEFAULT_TABLE, functions)
+            except EvaluationError:
+                val = math.nan
+            if not math.isfinite(val):
+                skipped += 1
+                continue
+            used += 1
+            if abs(val) > cfg.tolerance * (1.0 + scale):
+                return values, val, used, skipped
     return None, None, used, skipped
 
 

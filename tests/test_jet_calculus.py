@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from lieconserve.expr import U, U_T, U_X, ZERO, is_zero, normalize, parse
+from lieconserve.expr import (U, U_T, U_X, ZERO, ZeroTestConfig, is_zero,
+                              normalize, parse)
 from lieconserve.jet_calculus import (EvolutionSpec, SpecError,
                                       UnsupportedDepthError, adjoint_of,
                                       bind_adjoint_field, on_solution_reduce,
@@ -79,6 +80,19 @@ def test_linear_parts_detects_quasilinear_fluxes():
     alpha, beta = parts
     assert alpha == parse("a(u)") and beta == parse("u^2")
     assert EvolutionSpec.generic(parse("u_x^2")).linear_parts() is None
+
+
+def test_linear_parts_decides_the_curvature_with_the_given_zero_test():
+    from lieconserve.symmetry import Generator, determining_residual_pair
+    spec = EvolutionSpec.generic(parse("u_x^2*u/10^12 + u*u_x"))
+    strict = ZeroTestConfig(tolerance=1e-15)
+    assert spec.linear_parts(strict) is None
+    with pytest.raises(SpecError, match="split residuals"):
+        determining_residual_pair(spec, Generator(1, 0, 0), strict)
+    # the default tolerance calls the curvature zero, then finds u_x left
+    # in the coefficient
+    with pytest.raises(SpecError, match="cannot isolate"):
+        spec.linear_parts()
 
 
 def test_variational_derivative_of_quadratic_lagrangians():
