@@ -26,8 +26,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .expr import (Expr, Param, T, U, U_X, W, X, as_expr, diff, evaluate,
-                   free_symbols, polynomial_function, JetPoint, FunctionTable,
-                   DEFAULT_TABLE)
+                   free_symbols, polynomial_function, JetPoint)
 
 PRE_SHOCK_FRACTION = 0.95
 _SHOCK_GRID = 4096
@@ -259,7 +258,7 @@ class CharacteristicSolution:
         return float(u[0]), float(ux[0])
 
 
-def _array_density(e: Expr, table: FunctionTable):
+def _array_density(e: Expr):
     """The expression over t, x, u, u_x (every opaque function already
     instantiated) as a callable of those four, evaluated on whole arrays."""
     e = as_expr(e)
@@ -271,14 +270,13 @@ def _array_density(e: Expr, table: FunctionTable):
             "numeric densities may depend on t, x, u, u_x only; found %s" % sym)
 
     def call(t, x, u, ux):
-        return evaluate(e, JetPoint({T: t, X: x, U: u, U_X: ux}), table)
+        return evaluate(e, JetPoint({T: t, X: x, U: u, U_X: ux}))
 
     return call
 
 
 def conserved_integral(sol: CharacteristicSolution, density, t: float,
-                       nodes: int = 1024,
-                       table: FunctionTable = DEFAULT_TABLE) -> float:
+                       nodes: int = 1024) -> float:
     """Composite Simpson integral of the density over the domain at fixed
     t, taken in the characteristic foot variable xi.
 
@@ -297,7 +295,7 @@ def conserved_integral(sol: CharacteristicSolution, density, t: float,
         raise ValueError("nodes must be even and at least 64")
     if nodes > MAX_NODES:
         raise ValueError("nodes must be at most %d, got %d" % (MAX_NODES, nodes))
-    fn = _array_density(density, table) if isinstance(density, Expr) else density
+    fn = _array_density(density) if isinstance(density, Expr) else density
     sol._check_time(t)
     lo, hi = sol.domain
     periodic = sol.boundary == "periodic"
@@ -335,8 +333,7 @@ _FLUX_STEP = 1e-4
 
 def verify_law(sol: CharacteristicSolution, c0: Expr, c1: Expr,
                times: Sequence[float], nodes: int = 1024,
-               tol: float = 1e-6,
-               table: FunctionTable = DEFAULT_TABLE) -> ConservationReport:
+               tol: float = 1e-6) -> ConservationReport:
     """Numerically certify D_t C0 + D_x C1 = 0 along the exact solution.
 
     Both components must already be instantiated (no opaque symbols) and
@@ -358,11 +355,11 @@ def verify_law(sol: CharacteristicSolution, c0: Expr, c1: Expr,
                 "time %g is past the pre-shock horizon %g" % (t, horizon))
     flux_autonomous = not any(
         sym in (T, X) for sym in free_symbols(as_expr(c1)))
-    c0_fn = _array_density(c0, table)
-    c1_fn = _array_density(c1, table)
+    c0_fn = _array_density(c0)
+    c1_fn = _array_density(c1)
 
     def q_at(t: float) -> float:
-        return conserved_integral(sol, c0_fn, t, nodes, table)
+        return conserved_integral(sol, c0_fn, t, nodes)
 
     if sol.boundary == "periodic" and flux_autonomous:
         q0 = q_at(0.0)

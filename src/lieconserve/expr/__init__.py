@@ -12,9 +12,9 @@ from .functions import (DEFAULT_TABLE, FunctionDef, FunctionTable,
 from .derive import UnsupportedIntegrand, diff, integrate
 from .parser import ExprSyntaxError, UnknownSymbolError, parse
 from .evaluate import (EvaluationError, InconclusiveZeroTest, JetPoint, Poly,
-                       SeedError, ZeroTestConfig, ZeroVerdict,
-                       default_instantiations, evaluate, instantiate, is_zero,
-                       polynomial_function, resolve_instantiations)
+                       SeedError, ZeroTestConfig, ZeroVerdict, evaluate,
+                       instantiate, is_zero, polynomial_function,
+                       resolve_instantiations)
 
 __all__ = [
     "Atom", "Const", "Expr", "ExprError", "Func", "Jet", "JetDepthError",
@@ -26,7 +26,6 @@ __all__ = [
     "UnknownFunctionError", "build_default_table", "UnsupportedIntegrand",
     "diff", "integrate", "ExprSyntaxError", "UnknownSymbolError", "parse",
     "EvaluationError", "InconclusiveZeroTest", "JetPoint", "Poly",
-    "SeedError", "ZeroTestConfig", "ZeroVerdict", "default_instantiations",
-    "evaluate", "instantiate", "is_zero", "polynomial_function",
-    "resolve_instantiations",
+    "SeedError", "ZeroTestConfig", "ZeroVerdict", "evaluate", "instantiate",
+    "is_zero", "polynomial_function", "resolve_instantiations",
 ]

@@ -6,10 +6,9 @@ evaluate as true derivatives of the instantiated polynomial, so identities
 that hold for arbitrary smooth choices can be probed by sampling.
 ``evaluate`` takes floats or numpy arrays for the symbols.  ``is_zero``
 answers structural zeros and zero numerators after clearing denominators
-exactly, and otherwise samples jet points from a box that excludes a
-neighbourhood of zero: one point in Python floats, then a numpy batch.
-numpy is imported only for a batch or a numeric evaluation, so symbolic
-work whose first points settle it never loads it.
+exactly, and otherwise samples jet points one at a time, in Python floats,
+from a box that excludes a neighbourhood of zero.  The zero test never
+imports numpy; only a numeric evaluation does.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,14 +97,11 @@ class JetPoint:
         return ", ".join(parts)
 
 
-# Built once: every is_zero call without a config makes a ZeroTestConfig.
+# The sampling box, 0.1 <= |s| <= 2 for every symbol, and the probe
+# instantiations of each independent function symbol, w, 2 + w^2 and
+# w + w^3/3; each probe has a nonvanishing derivative off zero.
+_BOX = (0.1, 2.0)
 _PROBES = (W, add(2, power(W, 2)), add(W, mul(Fraction(1, 3), power(W, 3))))
-
-
-def default_instantiations() -> list[Expr]:
-    """The standard probe set, w, 2 + w^2 and w + w^3/3; each has a
-    nonvanishing derivative off zero."""
-    return list(_PROBES)
 
 
 def resolve_instantiations(names: Iterable[str], given: Mapping[str, Expr],
@@ -163,38 +159,28 @@ def _float_pow(x: float, k) -> float:
 
 
 def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
-          table: FunctionTable, functions: Mapping[str, Expr],
-          mask: bool = False):
+          table: FunctionTable, functions: Mapping[str, Expr]):
     """Evaluate e at one point (float values, Python's float arithmetic) or
     at a batch (array values, numpy's).
 
-    Returns ``(value, scale, poles)``.  ``scale`` is the largest magnitude
-    of an atom, term or sum met on the way, per point; the zero test
-    compares ``|value|`` with ``tol*(1 + scale)``.  A pole (a zero
-    denominator, or a negative base under a fractional power) raises
-    EvaluationError, unless ``mask`` is set and the values are arrays:
-    then ``poles`` is True at the points that hit one, and those points
-    carry a harmless 1 in place of the bad base from there on.  A constant
-    past the float range raises ExprError; a value that overflows becomes
-    inf or nan.
+    Returns ``(value, scale)``.  ``scale`` is the largest magnitude of an
+    atom, term or sum met on the way, per point; the zero test compares
+    ``|value|`` with ``tol*(1 + scale)``.  A pole (a zero denominator, or a
+    negative base under a fractional power) raises EvaluationError, at the
+    point or at any point of the batch.  A constant past the float range
+    raises ExprError; a value that overflows becomes inf or nan.
     """
     np = sys.modules.get("numpy")           # an array means numpy is loaded
     batch = np is not None and any(isinstance(v, np.ndarray)
                                    for v in values.values())
     peak, power = (np.maximum, np.power) if batch else (max, _float_pow)
     scale = 0.0
-    poles = False
     atom_values: dict = {}
     polys: dict = {}        # name -> float function of its instantiation
 
-    def pole(where, x, message: str, a):
-        nonlocal poles
-        if not (np.any(where) if batch else where):
-            return x
-        if not (batch and mask):
+    def pole(where, message: str, a) -> None:
+        if np.any(where) if batch else where:
             raise EvaluationError(message, a)
-        poles = poles | where
-        return np.where(where, 1.0, x)
 
     def atom_value(a):
         if isinstance(a, Func):
@@ -207,10 +193,11 @@ def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
             b = go(a.base)
             q = a.exponent
             if q == -1:
-                return 1.0 / pole(b == 0.0, b, "division by zero", a)
+                pole(b == 0.0, "division by zero", a)
+                return 1.0 / b
             if q.denominator == 1:
                 return power(b, q.numerator)
-            b = pole(b < 0.0, b, "negative base with fractional exponent", a)
+            pole(b < 0.0, "negative base with fractional exponent", a)
             return power(b, float(q))
         if a not in values:
             raise EvaluationError("unbound symbol", a)
@@ -232,7 +219,7 @@ def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
                     val = val * x
                 else:
                     if k < 0:
-                        x = pole(x == 0.0, x, "division by zero", a)
+                        pole(x == 0.0, "division by zero", a)
                     val = val * power(x, k)
             scale = peak(scale, abs(val))
             total = total + val
@@ -240,7 +227,7 @@ def _walk(e: Expr, values: Mapping[Expr, float | np.ndarray],
         return total
 
     try:
-        return go(e), scale, poles
+        return go(e), scale
     except OverflowError:
         raise ExprError("a constant or power is past the floating-point "
                         "range (about 1.8e308)") from None
@@ -276,10 +263,7 @@ def evaluate(e: Expr, point: JetPoint,
 @dataclass
 class ZeroTestConfig:
     samples: int = 200
-    box: tuple[float, float] = (0.1, 2.0)
     tolerance: float = 1e-9
-    instantiations: dict[str, Sequence[Expr]] = field(default_factory=dict)
-    default_set: Sequence[Expr] = field(default_factory=default_instantiations)
     seed: Optional[int] = None
 
     def resolved_seed(self) -> int:
@@ -328,20 +312,21 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
     sampling.  Next the denominators are cleared (``cleared_numerator``); a
     numerator that is structurally zero ("cleared") proves e zero exactly
     wherever every cleared denominator is nonzero, that is, wherever e is
-    defined.  Otherwise ("sampled") e is evaluated at random jet points for
-    every combination of function instantiations: one point first, drawn
-    from ``random.Random(seed)`` and evaluated in Python floats, then the
-    rest of the combination's samples as one numpy batch.  The batches draw
-    from one numpy generator seeded from that stream at the first batch, so
-    the seed fixes every draw, and numpy is imported only when a batch is
-    needed.  A value exceeding
-    ``tol*(1 + largest subterm)`` yields a nonzero verdict with a witness;
-    ``samples_used`` counts the points evaluated up to and including it.
-    A point that hits a pole, or whose value overflows to inf or nan, is
-    skipped (``samples_skipped``); if every sample is skipped the test
-    raises ``InconclusiveZeroTest``.  A function symbol of more than one
-    argument has no instantiation, and raises EvaluationError before any
-    sampling.
+    defined.  Otherwise ("sampled") e is evaluated at ``samples`` random jet
+    points for every combination of function instantiations, in Python
+    floats.  Every point comes from one ``random.Random(seed)`` stream,
+    combination by combination and, within a point, symbol by symbol in
+    name order, a sign and then a magnitude; so the seed fixes every draw.
+    A value exceeding ``tol*(1 + largest subterm)`` yields a nonzero
+    verdict with a witness at once; ``samples_used`` counts the points
+    evaluated up to and including it.  A point that hits a pole, or whose
+    value overflows to inf or nan, is skipped (``samples_skipped``).  When
+    a combination's first point divides by a denominator that instantiates
+    to the zero polynomial, every point of it would: all its samples count
+    as skipped, and none more is drawn for it.  If every sample is skipped
+    the test raises ``InconclusiveZeroTest``.  A function symbol of more
+    than one argument has no instantiation, and raises EvaluationError
+    before any sampling.
     """
     table = table if table is not None else DEFAULT_TABLE
     cfg = config if config is not None else ZeroTestConfig()
@@ -363,64 +348,33 @@ def is_zero(e: Expr, config: ZeroTestConfig | None = None,
                 frontier.append(dep)
     base_names = sorted(base_names)
     independent = [n for n in base_names if table[n].derived_poly is None]
-    choice_lists = [list(cfg.instantiations.get(n, cfg.default_set))
-                    for n in independent]
 
     rng = random.Random(cfg.resolved_seed())
-    batch_rng = None            # numpy's, seeded from rng at the first batch
-    lo, hi = cfg.box
     used = skipped = 0
-
-    combos = list(itertools.product(*choice_lists)) if independent else [()]
-    for combo in combos if cfg.samples > 0 else ():
-        given = dict(zip(independent, combo))
-        functions = resolve_instantiations(base_names, given, table)
-        # one point in Python floats, which settles most nonzero cases
-        point = {s: rng.choice((-1.0, 1.0)) * rng.uniform(lo, hi)
-                 for s in symbols}
-        try:
-            val, scale, _ = _walk(e, point, table, functions)
-        except EvaluationError:
-            val = math.nan
-        if not math.isfinite(val):
-            skipped += 1
-        elif abs(val) > cfg.tolerance * (1.0 + scale):
-            return ZeroVerdict(zero=False, witness=JetPoint(point, functions),
-                               witness_value=val, samples_used=used + 1,
-                               samples_skipped=skipped)
-        else:
-            used += 1
-        if cfg.samples == 1:
-            continue
-
-        # then the rest of the combo's samples as one numpy batch
-        import numpy as np
-        if batch_rng is None:
-            batch_rng = np.random.default_rng(rng.getrandbits(64))
-        size = cfg.samples - 1
-        shape = (size, len(symbols))
-        # an overflow is skipped below, like a pole, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            points = (batch_rng.uniform(lo, hi, size=shape)
-                      * batch_rng.choice((-1.0, 1.0), size=shape))
+    for combo in itertools.product(_PROBES, repeat=len(independent)):
+        functions = resolve_instantiations(
+            base_names, dict(zip(independent, combo)), table)
+        for i in range(cfg.samples):
+            point = {s: rng.choice((-1.0, 1.0)) * rng.uniform(*_BOX)
+                     for s in symbols}
             try:
-                val, scale, poles = _walk(e, dict(zip(symbols, points.T)),
-                                          table, functions, mask=True)
-            except EvaluationError:
-                val, scale, poles = 0.0, 0.0, True
-            defined = ~np.broadcast_to(poles | ~np.isfinite(val), (size,))
-            over = defined & (np.abs(val) > cfg.tolerance * (1.0 + scale))
-        if over.any():
-            i = int(over.argmax())
-            values = {s: float(v) for s, v in zip(symbols, points[i])}
-            here = int(defined[:i + 1].sum())
-            return ZeroVerdict(
-                zero=False, witness=JetPoint(values, functions),
-                witness_value=float(np.broadcast_to(val, (size,))[i]),
-                samples_used=used + here,
-                samples_skipped=skipped + i + 1 - here)
-        used += int(defined.sum())
-        skipped += size - int(defined.sum())
+                val, scale = _walk(e, point, table, functions)
+            except EvaluationError as exc:
+                # the pole is at 1/s or at an atom under a negative power
+                a = exc.subexpr
+                den = a.base if isinstance(a, Pow) and a.exponent == -1 else a
+                if i == 0 and instantiate(den, functions, table) == ZERO:
+                    skipped += cfg.samples      # a pole at every point
+                    break
+                val = math.nan
+            if not math.isfinite(val):
+                skipped += 1
+            elif abs(val) > cfg.tolerance * (1.0 + scale):
+                return ZeroVerdict(zero=False, witness=JetPoint(point, functions),
+                                   witness_value=val, samples_used=used + 1,
+                                   samples_skipped=skipped)
+            else:
+                used += 1
     if used == 0:
         raise InconclusiveZeroTest(
             "all %d samples hit poles or overflowed while testing %s" % (skipped, e))

@@ -51,10 +51,13 @@ def _run_blocks(workload, seed: int, blocks: int) -> None:
             assert workload.check(item, prepared, result), (item.kind, item.data)
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", range(50))
 @pytest.mark.parametrize("name", ["symbolic-scan", "identity-certify"])
 def test_zero_test_workloads_pass_their_known_answer_checks(workloads, name, seed):
-    _run_blocks(workloads[name], seed, blocks=2)
+    # a benchmark run draws its own seeds, and one wrong answer in any of
+    # them fails the run, so the guard reaches 50 seeds, past the first five
+    # at one block each
+    _run_blocks(workloads[name], seed, blocks=2 if seed < 5 else 1)
 
 
 @pytest.mark.parametrize("seed", range(3))

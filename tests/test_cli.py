@@ -167,6 +167,8 @@ SYMBOLIC_COMMANDS = [
     (["verify", "--builtin", "burgers", "--generator", "X5"], 0),
     (["verify", "--builtin", "burgers", "--eta", "u"], 2),
     (["claw", "--builtin", "burgers", "--catalog", "l3"], 0),
+    # a sampled zero: all 200 points in Python floats
+    (["verify", "--alpha", "u", "--beta", "0", "--eta", "u^(1/2)*u^(1/2) - u"], 0),
 ]
 
 
@@ -188,8 +190,8 @@ def test_symbolic_commands_run_without_numpy(argv, code):
     # the witness is the first point, drawn in Python floats
     ("-m", "lieconserve.cli", "verify", "--builtin", "burgers", "--eta", "u",
      "--seed", "11"),
-    # the first point has u < 0 and is skipped; the witness comes from the
-    # numpy batch, whose generator is seeded from the Python stream
+    # the first point has u < 0 and is skipped; the witness comes from a
+    # later point of the same Python stream
     ("-c", "from lieconserve.expr import ZeroTestConfig, is_zero, parse\n"
            "v = is_zero(parse(\"a'(u)*u^(1/2) - a(u)\"), ZeroTestConfig(seed=3))\n"
            "assert v.samples_used + v.samples_skipped > 1\n"
@@ -262,6 +264,11 @@ def test_unknown_config_key_is_a_configuration_error(capsys, tmp_path):
     ("verify", "--builtin", "burgers", "--generator", "X9"),
     ("claw", "--catalog", "l1"),
     ("claw", "--builtin", "burgers", "--catalog", "l1", "--times", "0.5"),
+    ("verify", "--builtin", "burgers", "--eta", "u", "--zt-samples", "-3"),
+    ("verify", "--builtin", "burgers", "--eta", "u", "--zt-samples", "0"),
+    ("verify", "--alpha", "u", "--beta", "0", "--eta", "u^(1/2)*u^(1/2) - u",
+     "--zt-tol", "-1"),
+    ("verify", "--builtin", "burgers", "--eta", "u", "--zt-tol", "nan"),
 ])
 def test_configuration_errors_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
